@@ -12,6 +12,7 @@ package avfsim
 import (
 	"context"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -227,8 +228,13 @@ func BenchmarkEstimatorObs(b *testing.B) {
 
 // TestObsOverheadUnderFivePercent is the regression gate for the
 // tentpole's "near-zero overhead" requirement: the full tracing path
-// must cost < 5% over the untraced estimator. Min-of-several timing
-// keeps the comparison robust on noisy single-CPU CI hosts.
+// must cost < 5% over the untraced estimator. Shared hosts change speed
+// from one millisecond to the next, so timing whole runs one after the
+// other compares two different machines. Instead an untraced and a
+// traced simulation of the same trace advance side by side: each pair
+// times both over the same 1000 cycles (one injection interval), in
+// alternating order, and the gate reads the median of the per-pair
+// on/off ratios, which a pair hit by a stall cannot move.
 func TestObsOverheadUnderFivePercent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped in -short")
@@ -236,8 +242,15 @@ func TestObsOverheadUnderFivePercent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation multiplies atomic-op cost; the 5% budget is for production builds")
 	}
-	const cycles = 150_000
-	run := func(sink obs.Sink) time.Duration {
+	const (
+		m     = 1000
+		pairs = 300
+	)
+	type sim struct {
+		p *pipeline.Pipeline
+		e *core.Estimator
+	}
+	newSim := func(sink obs.Sink) sim {
 		prof, err := workload.ByName("mesa")
 		if err != nil {
 			t.Fatal(err)
@@ -247,34 +260,38 @@ func TestObsOverheadUnderFivePercent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := core.NewEstimator(p, core.Options{M: 1000, N: 100, Sink: sink})
+		e, err := core.NewEstimator(p, core.Options{M: m, N: 100, Sink: sink})
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.Attach()
+		return sim{p, e}
+	}
+	advance := func(s sim) time.Duration {
 		start := time.Now()
-		for i := 0; i < cycles; i++ {
-			p.Step()
-			e.Tick()
+		for i := 0; i < m; i++ {
+			s.p.Step()
+			s.e.Tick()
 		}
 		return time.Since(start)
 	}
-	min := func(sink func() obs.Sink) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 5; i++ {
-			if d := run(sink()); d < best {
-				best = d
-			}
+	off := newSim(nil)
+	on := newSim(obs.NewJobTracer(obs.NewInjectionCounters(obs.NewRegistry()), 0))
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var dOff, dOn time.Duration
+		if i%2 == 0 {
+			dOff, dOn = advance(off), advance(on)
+		} else {
+			dOn, dOff = advance(on), advance(off)
 		}
-		return best
+		ratios[i] = float64(dOn) / float64(dOff)
 	}
-	off := min(func() obs.Sink { return nil })
-	on := min(func() obs.Sink {
-		return obs.NewJobTracer(obs.NewInjectionCounters(obs.NewRegistry()), 0)
-	})
-	overhead := float64(on-off) / float64(off)
-	t.Logf("obs-off %v, obs-on %v, overhead %.2f%%", off, on, overhead*100)
+	sort.Float64s(ratios)
+	overhead := ratios[pairs/2] - 1
+	t.Logf("on/off ratio over %d pairs of %d cycles: p10 %.4f, median %.4f, p90 %.4f",
+		pairs, m, ratios[pairs/10], ratios[pairs/2], ratios[pairs*9/10])
 	if overhead > 0.05 {
-		t.Errorf("observability overhead %.2f%% exceeds 5%% budget", overhead*100)
+		t.Errorf("observability overhead %.2f%% (median paired ratio) exceeds 5%% budget", overhead*100)
 	}
 }

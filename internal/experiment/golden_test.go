@@ -121,3 +121,55 @@ func TestGoldenEstimateSeriesDigest(t *testing.T) {
 			got, goldenSeriesDigest, all)
 	}
 }
+
+// Digests of the SoftArch reference at small node windows, captured on
+// the commit before the reference stored reads inline and queued closed
+// segments in a ring. With the window this small, marking chains are
+// truncated (DroppedMarks > 0) and a dropped mark still flags its target
+// ACE, so a register value's attribution depends on exactly when its
+// segment settles: these pin the settlement order, which the default
+// window never exercises.
+var goldenSoftArchWindowDigests = map[string]string{
+	"sixtrack/64":   "040775ffb81fabd97c535abab8784367392f41afd2a68fb7084d38e2a542499f",
+	"sixtrack/256":  "bc9dfa8d5ee381c26927456e9c6d4a6d4efdfc84dc6bc8c09390218a58ba17f7",
+	"sixtrack/4096": "3e029fee96512f8d422ce9e325af162683a90a2aeef36f5d570d8fae880afd94",
+	"bzip2/64":      "2e468bff6f2b8d198404ef706630b77de693935391f3fb76e1f5b0392455cfa9",
+	"bzip2/256":     "56076f1a48f9c4599845ffeffc9dbda55454f867e3e69beda61cf49f0e341b5a",
+	"bzip2/4096":    "56076f1a48f9c4599845ffeffc9dbda55454f867e3e69beda61cf49f0e341b5a",
+}
+
+// TestGoldenSoftArchSmallWindowDigest pins every structure's reference
+// series, and the dropped-mark count, at node windows of 64, 256 and
+// 4096 on an FP-heavy and an integer benchmark. sixtrack drops 12601
+// marks at window 64 and 304 at 256; bzip2 drops 8 at 64.
+func TestGoldenSoftArchSmallWindowDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six runs")
+	}
+	all := make([]pipeline.Structure, pipeline.NumStructures)
+	for i := range all {
+		all[i] = pipeline.Structure(i)
+	}
+	for _, bench := range []string{"sixtrack", "bzip2"} {
+		for _, window := range []int{64, 256, 4096} {
+			res, err := Run(RunConfig{
+				Benchmark: bench, Scale: goldenSpec.Scale, Seed: goldenSeed,
+				M: 1000, N: 100, Intervals: 3, Structures: all, Window: window,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			fmt.Fprintf(&buf, "dropped=%d\n", res.DroppedMarks)
+			for _, s := range all {
+				fmt.Fprintf(&buf, "%s reference=%v\n", s, res.SeriesFor(s).Reference)
+			}
+			key := fmt.Sprintf("%s/%d", bench, window)
+			t.Logf("%s dropped %d", key, res.DroppedMarks)
+			if got := sha(buf.Bytes()); got != goldenSoftArchWindowDigests[key] {
+				t.Errorf("%s reference series changed: digest %s, want %s\n--- dump ---\n%s",
+					key, got, goldenSoftArchWindowDigests[key], buf.Bytes())
+			}
+		}
+	}
+}

@@ -386,24 +386,16 @@ func (p *Pipeline) retire() {
 			}
 		}
 		if p.hooks.OnRetire != nil {
-			p.retireEv = RetireEvent{
-				Seq:           u.seq,
-				Class:         u.inst.Class,
-				PC:            u.inst.PC,
-				DispatchCycle: u.dispatchCycle,
-				IssueCycle:    u.issueCycle,
-				RetireCycle:   p.cycle,
-				Queue:         u.queue,
-				QueueEntry:    u.qEntry,
-				FU:            u.fu,
-				Unit:          u.unit,
-				ExecStart:     u.execStart,
-				SrcProducers:  u.srcProducers,
-				DstFile:       u.dstFile,
-				DstPhys:       u.dstPhys,
-				Err:           u.errMask,
-				Mispredicted:  u.mispredicted,
-			}
+			// Field by field: a composite literal would be built in a
+			// temporary and copied whole.
+			ev := &p.retireEv
+			ev.Seq, ev.Class, ev.PC = u.seq, u.inst.Class, u.inst.PC
+			ev.DispatchCycle, ev.IssueCycle, ev.RetireCycle = u.dispatchCycle, u.issueCycle, p.cycle
+			ev.Queue, ev.QueueEntry = u.queue, u.qEntry
+			ev.FU, ev.Unit, ev.ExecStart = u.fu, u.unit, u.execStart
+			ev.SrcProducers = u.srcProducers
+			ev.DstFile, ev.DstPhys = u.dstFile, u.dstPhys
+			ev.Err, ev.Mispredicted = u.errMask, u.mispredicted
 			p.hooks.OnRetire(&p.retireEv)
 		}
 		if u.dstPhys >= 0 {

@@ -74,12 +74,32 @@ type readRec struct {
 	seq   int64
 }
 
+// inlineReads is how many reads a segment stores in place. Most values
+// are read at most this often; later reads spill into overflow chunks of
+// chunkReads each.
+const inlineReads, chunkReads = 3, 4
+
+// readChunk holds overflow reads of one segment. A segment's chunks chain
+// from its newest to its oldest; freed chunks chain into the free list.
+type readChunk struct {
+	reads [chunkReads]readRec
+	n     int32 // reads held
+	older int32 // next chunk index + 1; 0 ends the chain
+}
+
 // segment is one value's residency in a physical register: from its write
-// until the next write to the same register.
+// until the next write to the same register. The zero segment is the
+// machine state a register holds from cycle 0 until its first write; a
+// segment nobody read is dropped when it closes. Reads are kept in
+// arrival order, which is cycle order: the first inlineReads in place,
+// later ones in overflow chunks.
 type segment struct {
-	open  bool
-	start int64
-	reads []readRec
+	start     int64
+	maxReader int64 // highest reader seq; valid when n > 0
+	inline    [inlineReads]readRec
+	more      int32              // newest overflow chunk index + 1; 0 while none
+	n         uint8              // reads held inline
+	file      pipeline.RegFileID // set when the segment closes
 }
 
 // tlbSegment is one translation's residency in a TLB entry.
@@ -91,10 +111,8 @@ type tlbSegment struct {
 
 // closedSeg is a finished segment awaiting reader-flag settlement.
 type closedSeg struct {
-	file       pipeline.RegFileID
-	start, end int64
-	reads      []readRec
-	maxReader  int64
+	segment
+	end int64
 }
 
 // Analyzer consumes pipeline events and produces per-interval reference
@@ -121,15 +139,16 @@ type Analyzer struct {
 	// runs from its fill to its last hit.
 	tlbSegs [2][]tlbSegment
 
-	// Register segment tracking. pending is a FIFO (head index advances;
-	// the slice is compacted when the head grows large): segments settle
-	// in roughly the order they close, so settlement only ever inspects
-	// the front.
-	segs        [2][]segment // by RegFileID, per physical register
-	pending     []closedSeg
-	pendingHead int
-	readPool    [][]readRec
-	lastCycle   int64
+	// Register segment tracking. pending is a FIFO ring (power-of-two
+	// length, doubled when full) holding [pendHead, pendTail): segments
+	// settle in roughly the order they close, so settlement only ever
+	// inspects the front.
+	segs               [2][]segment // by RegFileID, per physical register
+	pending            []closedSeg
+	pendHead, pendTail int
+	chunks             []readChunk // overflow reads; grown, never shrunk
+	freeChunk          int32       // free-list head + 1; 0 = empty
+	lastCycle          int64
 
 	// Structure geometry for normalization.
 	entries [pipeline.NumStructures]int
@@ -152,13 +171,6 @@ func NewAnalyzer(p *pipeline.Pipeline, opt Options) (*Analyzer, error) {
 	a.segs[pipeline.FPFile] = make([]segment, a.entries[pipeline.StructFPReg])
 	a.tlbSegs[0] = make([]tlbSegment, a.entries[pipeline.StructDTLB])
 	a.tlbSegs[1] = make([]tlbSegment, a.entries[pipeline.StructITLB])
-	// The initially mapped architectural registers hold live values from
-	// cycle 0 with an unknown (-1) producer.
-	for f := 0; f < 2; f++ {
-		for i := 0; i < 32 && i < len(a.segs[f]); i++ {
-			a.segs[f][i] = segment{open: true, start: 0}
-		}
-	}
 	return a, nil
 }
 
@@ -265,20 +277,13 @@ func (a *Analyzer) addPoint(acc []float64, cycle int64) []float64 {
 // inserts the node into the ring (finalizing the evicted one), and
 // advances segment settlement.
 func (a *Analyzer) HandleRetire(ev *pipeline.RetireEvent) {
-	slot := ev.Seq & a.mask
-	if old := &a.ring[slot]; old.valid {
-		a.finalizeNode(old)
+	n := &a.ring[ev.Seq&a.mask]
+	if n.valid {
+		a.finalizeNode(n)
 	}
-	a.ring[slot] = node{
-		seq:          ev.Seq,
-		srcProducers: ev.SrcProducers,
-		dispatch:     ev.DispatchCycle,
-		issue:        ev.IssueCycle,
-		execStart:    ev.ExecStart,
-		queue:        ev.Queue,
-		fu:           ev.FU,
-		valid:        true,
-	}
+	n.seq, n.srcProducers = ev.Seq, ev.SrcProducers
+	n.dispatch, n.issue, n.execStart = ev.DispatchCycle, ev.IssueCycle, ev.ExecStart
+	n.queue, n.fu, n.valid = ev.Queue, ev.FU, true
 	if ev.Seq >= a.maxSeq {
 		a.maxSeq = ev.Seq + 1
 	}
@@ -309,70 +314,62 @@ func (a *Analyzer) finalizeNode(n *node) {
 // exposure window (the old value stops being injectable once overwritten).
 func (a *Analyzer) HandleRegWrite(file pipeline.RegFileID, phys int16, cycle, writerSeq int64) {
 	seg := &a.segs[file][phys]
-	if seg.open {
-		a.closeSegment(file, seg, cycle)
-	}
-	seg.open = true
+	a.closeSegment(file, seg, cycle)
 	seg.start = cycle
-	seg.reads = a.getReadBuf()
 }
 
 // HandleRegRead records a read of the register's current value.
 func (a *Analyzer) HandleRegRead(file pipeline.RegFileID, phys int16, cycle, readerSeq int64) {
 	seg := &a.segs[file][phys]
-	if !seg.open {
-		// Reading initial machine state through a register we have not
-		// seen written: open an implicit segment from cycle 0.
-		seg.open = true
-		seg.start = 0
-		seg.reads = a.getReadBuf()
+	r := readRec{cycle: cycle, seq: readerSeq}
+	if seg.n == 0 || readerSeq > seg.maxReader {
+		seg.maxReader = readerSeq
 	}
-	seg.reads = append(seg.reads, readRec{cycle: cycle, seq: readerSeq})
-}
-
-// readBufChunk is how many read buffers one slab allocation yields. The
-// settlement queue keeps up to a Window's worth of closed segments (and
-// their buffers) in flight, so refilling the pool one buffer at a time
-// costs one allocation per segment; a slab cuts that by 64x.
-const readBufChunk = 64
-
-func (a *Analyzer) getReadBuf() []readRec {
-	if n := len(a.readPool); n > 0 {
-		b := a.readPool[n-1]
-		a.readPool = a.readPool[:n-1]
-		return b[:0]
-	}
-	// Carve a slab into full-capacity slices; appending past cap 4
-	// reallocates that buffer independently, leaving its siblings alone.
-	slab := make([]readRec, readBufChunk*4)
-	for i := readBufChunk - 1; i > 0; i-- {
-		a.readPool = append(a.readPool, slab[i*4:i*4:(i+1)*4])
-	}
-	return slab[0:0:4]
-}
-
-// closeSegment finalizes or queues a finished segment. A segment with no
-// readers can never be ACE, so it is recycled immediately.
-func (a *Analyzer) closeSegment(file pipeline.RegFileID, seg *segment, endCycle int64) {
-	cs := closedSeg{
-		file:      file,
-		start:     seg.start,
-		end:       endCycle,
-		reads:     seg.reads,
-		maxReader: -1,
-	}
-	seg.open = false
-	seg.reads = nil
-	for _, r := range cs.reads {
-		if r.seq > cs.maxReader {
-			cs.maxReader = r.seq
-		}
-	}
-	if cs.maxReader < 0 {
-		a.finalizeSegment(cs)
+	if seg.n < inlineReads {
+		seg.inline[seg.n] = r
+		seg.n++
 		return
 	}
-	a.pending = append(a.pending, cs)
+	if seg.more == 0 || a.chunks[seg.more-1].n == chunkReads {
+		i := a.freeChunk
+		if i != 0 {
+			a.freeChunk = a.chunks[i-1].older
+		} else {
+			a.chunks = append(a.chunks, readChunk{})
+			i = int32(len(a.chunks))
+		}
+		a.chunks[i-1] = readChunk{older: seg.more}
+		seg.more = i
+	}
+	c := &a.chunks[seg.more-1]
+	c.reads[c.n] = r
+	c.n++
+}
+
+// closeSegment queues a finished segment for settlement. A segment with
+// no readers can never be ACE, so it is dropped at once.
+func (a *Analyzer) closeSegment(file pipeline.RegFileID, seg *segment, endCycle int64) {
+	if seg.n == 0 {
+		return
+	}
+	if a.pendTail-a.pendHead == len(a.pending) {
+		a.growPending()
+	}
+	cs := &a.pending[a.pendTail&(len(a.pending)-1)]
+	a.pendTail++
+	seg.file = file
+	cs.segment, cs.end = *seg, endCycle
+	seg.n, seg.more = 0, 0
+}
+
+// growPending doubles the pending ring, unrolling it to start at slot 0.
+func (a *Analyzer) growPending() {
+	ring := make([]closedSeg, max(1024, 2*len(a.pending)))
+	n := a.pendTail - a.pendHead
+	for i := 0; i < n; i++ {
+		ring[i] = a.pending[(a.pendHead+i)&(len(a.pending)-1)]
+	}
+	a.pending, a.pendHead, a.pendTail = ring, 0, n
 }
 
 // settlePending finalizes queued segments whose readers' ACE flags can no
@@ -381,26 +378,43 @@ func (a *Analyzer) closeSegment(file pipeline.RegFileID, seg *segment, endCycle 
 // enough that a blocked front just delays later entries harmlessly.
 func (a *Analyzer) settlePending() {
 	frontier := a.maxSeq - int64(a.opt.Window)
-	for a.pendingHead < len(a.pending) && a.pending[a.pendingHead].maxReader < frontier {
-		a.finalizeSegment(a.pending[a.pendingHead])
-		a.pending[a.pendingHead] = closedSeg{}
-		a.pendingHead++
-	}
-	if a.pendingHead > 4096 && a.pendingHead*2 >= len(a.pending) {
-		n := copy(a.pending, a.pending[a.pendingHead:])
-		a.pending = a.pending[:n]
-		a.pendingHead = 0
+	for a.pendHead != a.pendTail {
+		cs := &a.pending[a.pendHead&(len(a.pending)-1)]
+		if cs.maxReader >= frontier {
+			return
+		}
+		a.finalizeSegment(cs)
+		a.pendHead++
 	}
 }
 
-// finalizeSegment attributes a value's ACE residency: from its write to
-// its last ACE read.
-func (a *Analyzer) finalizeSegment(cs closedSeg) {
-	aceEnd := int64(-1)
-	for _, r := range cs.reads {
-		if r.cycle > aceEnd && a.aceGet(r.seq) {
-			aceEnd = r.cycle
+// lastACERead returns the cycle of the last read in reads whose reader is
+// ACE, or -1.
+func (a *Analyzer) lastACERead(reads []readRec) int64 {
+	for i := len(reads) - 1; i >= 0; i-- {
+		if a.aceGet(reads[i].seq) {
+			return reads[i].cycle
 		}
+	}
+	return -1
+}
+
+// finalizeSegment attributes a value's ACE residency: from its write to
+// its last ACE read. Reads arrive in cycle order, so that is the last
+// ACE read in arrival order.
+func (a *Analyzer) finalizeSegment(cs *closedSeg) {
+	aceEnd := int64(-1)
+	for i := cs.more; i != 0; {
+		c := &a.chunks[i-1]
+		if aceEnd < 0 {
+			aceEnd = a.lastACERead(c.reads[:c.n])
+		}
+		next := c.older
+		c.older, a.freeChunk = a.freeChunk, i
+		i = next
+	}
+	if aceEnd < 0 {
+		aceEnd = a.lastACERead(cs.inline[:cs.n])
 	}
 	if aceEnd >= cs.start {
 		end := aceEnd + 1
@@ -409,7 +423,6 @@ func (a *Analyzer) finalizeSegment(cs closedSeg) {
 		}
 		a.regAceCycles[cs.file] = a.addSpan(a.regAceCycles[cs.file], cs.start, end)
 	}
-	a.readPool = append(a.readPool, cs.reads[:0])
 }
 
 // tlbIndex maps the two TLB structures onto the analyzer's arrays.
@@ -455,18 +468,14 @@ func (a *Analyzer) Flush() {
 	}
 	for f := 0; f < 2; f++ {
 		for i := range a.segs[f] {
-			if a.segs[f][i].open {
-				// The value lives to the end of the run.
-				a.closeSegment(pipeline.RegFileID(f), &a.segs[f][i], a.lastCycle+1)
-			}
+			// The value lives to the end of the run.
+			a.closeSegment(pipeline.RegFileID(f), &a.segs[f][i], a.lastCycle+1)
 		}
 	}
 	// All flags are final now; settle unconditionally.
-	for _, cs := range a.pending[a.pendingHead:] {
-		a.finalizeSegment(cs)
+	for ; a.pendHead != a.pendTail; a.pendHead++ {
+		a.finalizeSegment(&a.pending[a.pendHead&(len(a.pending)-1)])
 	}
-	a.pending = a.pending[:0]
-	a.pendingHead = 0
 	// Close TLB segments: exposure after an entry's last use is masked,
 	// so the close uses the same fill-to-last-hit window.
 	for idx := 0; idx < 2; idx++ {

@@ -8,6 +8,7 @@ import (
 	"avfsim/internal/isa"
 	"avfsim/internal/pipeline"
 	"avfsim/internal/trace"
+	"avfsim/internal/workload"
 )
 
 // newAnalyzer builds an analyzer against the default processor geometry.
@@ -302,8 +303,8 @@ func TestTLBFillWithoutReuseNotACE(t *testing.T) {
 }
 
 func TestPendingCompaction(t *testing.T) {
-	// Push enough closed register segments through settlement to force
-	// the pendingHead compaction path, then verify accounting survives.
+	// Push enough closed register segments through settlement to wrap
+	// the pending ring many times, then verify accounting survives.
 	a := newAnalyzer(t, 1_000_000, 64) // tiny window -> fast settlement
 	cycle := int64(0)
 	seq := int64(0)
@@ -331,6 +332,42 @@ func TestPendingCompaction(t *testing.T) {
 	}
 }
 
+func TestLongSegmentsSettleThroughChunks(t *testing.T) {
+	// Values read 12 times each spill past the inline reads into two
+	// overflow chunks. The window is small, so each value settles, and
+	// its chunks are recycled, a few values after it closes. Two ACE
+	// readers walk through the read positions, so each value's ACE window
+	// ends at a different read (inline, first chunk, second chunk) with
+	// an earlier ACE read before it.
+	a := newAnalyzer(t, 1_000_000, 64)
+	const reads = 12
+	cycle, seq := int64(0), int64(0)
+	want := int64(0)
+	for k := 0; k < 60; k++ {
+		start, end := cycle, cycle
+		a.HandleRegWrite(pipeline.IntFile, 40, start, seq)
+		a.HandleRetire(ev(seq, isa.ClassIntALU, cycle))
+		seq++
+		for i := 0; i < reads; i++ {
+			cycle++
+			a.HandleRegRead(pipeline.IntFile, 40, cycle, seq)
+			class := isa.ClassIntALU
+			if i == k%reads || i == (k+2)%reads {
+				class = isa.ClassStore
+				end = cycle + 1
+			}
+			a.HandleRetire(ev(seq, class, cycle))
+			seq++
+		}
+		want += end - start
+		cycle++
+	}
+	a.Flush()
+	if got, w := a.AVFSeries(pipeline.StructReg, 1)[0], float64(want)/(80.0*1_000_000); got != w {
+		t.Errorf("REG AVF = %v, want %v", got, w)
+	}
+}
+
 func TestFlushIdempotentEnough(t *testing.T) {
 	// Calling AVFSeries with more intervals than data zero-pads.
 	a := newAnalyzer(t, 100, 64)
@@ -348,5 +385,36 @@ func TestFlushIdempotentEnough(t *testing.T) {
 		if series[i] != 0 {
 			t.Errorf("interval %d should be zero-padded, got %v", i, series[i])
 		}
+	}
+}
+
+// TestFusedStepZeroAllocs pins the pipeline plus the SoftArch hooks at
+// zero allocations per cycle once warm-up has run past two node windows:
+// by then the pending ring and the overflow chunks have reached their
+// working size and every buffer is recycled in place.
+func TestFusedStepZeroAllocs(t *testing.T) {
+	prof, err := workload.ByName("mesa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Default()
+	p, err := pipeline.New(&cfg, prof.MustSource(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window = 1 << 14
+	a, err := NewAnalyzer(p, Options{IntervalCycles: 1 << 40, Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetHooks(a.Hooks())
+	for i := 0; i < 2*window+50_000; i++ {
+		p.Step()
+	}
+	allocs := testing.AllocsPerRun(20_000, func() {
+		p.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("fused Step allocates %.4f objects/cycle in steady state, want 0", allocs)
 	}
 }

@@ -123,51 +123,81 @@ const (
 	maxDepDist     = 48 // cap for the geometric dependency distance
 )
 
-// histEntry records a recent register write. An entry is stale (the value
-// was overwritten) when seq no longer matches the register's latest write.
-type histEntry struct {
-	reg isa.Reg
-	seq uint32
-}
+// Thresholds (see drawThreshold) of the generator's fixed-probability
+// draws.
+var (
+	src2IntDraw   = drawThreshold(0.7)
+	src2FPDraw    = drawThreshold(0.8)
+	ptrUpdateDraw = drawThreshold(1.0 / ptrUpdateEvery)
+)
 
-// histRing is a fixed-size ring of recent live value-producing writes.
+// histRing indexes one register file's live writers: the registers whose
+// latest write was live and lies within the file's last histCap live
+// writes, linked newest to oldest. Links and ends hold reg+1, so 0 ends
+// the list and the zero value is empty.
 type histRing struct {
-	buf  [histCap]histEntry
-	head int // next slot to write
-	n    int // valid entries
+	older, newer   [64]uint8
+	born           [64]uint64 // live-write count when linked; 0 = unlinked
+	newest, oldest uint8
+	pushes         uint64
 }
 
-func (h *histRing) push(e histEntry) {
-	h.buf[h.head] = e
-	h.head = (h.head + 1) % histCap
-	if h.n < histCap {
-		h.n++
+// write records a write to reg: the previous value's entry goes, and a
+// live value becomes the newest entry. Entries more than histCap live
+// writes old expire from the tail.
+func (h *histRing) write(reg isa.Reg, live bool) {
+	if h.born[reg] != 0 {
+		h.unlink(uint8(reg) + 1)
 	}
+	if !live {
+		return
+	}
+	h.pushes++
+	if h.oldest != 0 && h.pushes-h.born[h.oldest-1] >= histCap {
+		h.unlink(h.oldest)
+	}
+	r := uint8(reg) + 1
+	h.born[reg] = h.pushes
+	h.older[reg], h.newer[reg] = h.newest, 0
+	if h.newest != 0 {
+		h.newer[h.newest-1] = r
+	} else {
+		h.oldest = r
+	}
+	h.newest = r
+}
+
+func (h *histRing) unlink(r uint8) {
+	i := r - 1
+	o, n := h.older[i], h.newer[i]
+	if o != 0 {
+		h.newer[o-1] = n
+	} else {
+		h.oldest = n
+	}
+	if n != 0 {
+		h.older[n-1] = o
+	} else {
+		h.newest = o
+	}
+	h.born[i] = 0
 }
 
 // pick returns the register written dist live entries ago (1 = most
-// recent), skipping entries whose value has since been overwritten.
-// Returns RegNone when no live entry exists.
-func (h *histRing) pick(dist int, lastSeq *[64]uint32) isa.Reg {
-	if h.n == 0 {
+// recent), falling back to the newest when fewer are live. Returns
+// RegNone when none is.
+func (h *histRing) pick(dist int) isa.Reg {
+	r := h.newest
+	for ; dist > 1 && r != 0; dist-- {
+		r = h.older[r-1]
+	}
+	if r == 0 {
+		r = h.newest
+	}
+	if r == 0 {
 		return isa.RegNone
 	}
-	seen := 0
-	var newest isa.Reg = isa.RegNone
-	for i := 1; i <= h.n; i++ {
-		e := h.buf[(h.head-i+histCap*2)%histCap]
-		if lastSeq[e.reg] != e.seq {
-			continue // overwritten; the value is gone
-		}
-		if newest == isa.RegNone {
-			newest = e.reg
-		}
-		seen++
-		if seen >= dist {
-			return e.reg
-		}
-	}
-	return newest // fewer live entries than dist: fall back to newest
+	return isa.Reg(r - 1)
 }
 
 // block is one static basic block of the synthetic program.
@@ -176,9 +206,9 @@ type block struct {
 	pc      uint64
 	classes []isa.Class
 	// seqMem selects streaming (true) or random (false) data access.
-	seqMem bool
-	region uint64 // base offset of this block's data region
-	bias   float64
+	seqMem    bool
+	region    uint64 // base offset of this block's data region
+	takenDraw uint64 // drawThreshold of the taken probability
 	// takenTo and fallTo are successor block indices.
 	takenTo, fallTo int
 }
@@ -186,18 +216,19 @@ type block struct {
 // Generator synthesizes a deterministic dynamic instruction stream from
 // Params. It implements Source and never ends.
 type Generator struct {
-	p       Params
-	rng     *rng
-	blocks  []block
-	cumMix  [9]float64
-	fpShare float64
+	p      Params
+	rng    *rng
+	blocks []block
+	cumMix [9]float64
+	// Thresholds (see drawThreshold) of the per-instruction draws: the
+	// dependency distance's success probability 1/DepDistMean, a dead
+	// value, and an FP load or store.
+	depDraw, deadDraw, fpDraw uint64
 
 	cur, slot int
 	seqCursor []uint64 // per-block streaming cursor
 
 	intHist, fpHist histRing
-	lastSeq         [64]uint32
-	seq             uint32
 
 	count int64 // instructions generated
 }
@@ -207,7 +238,8 @@ func NewGenerator(p Params) (*Generator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{p: p, rng: newRNG(p.Seed), fpShare: p.Mix.fpShare()}
+	g := &Generator{p: p, rng: newRNG(p.Seed), depDraw: drawThreshold(1 / p.DepDistMean),
+		deadDraw: drawThreshold(p.DeadFrac), fpDraw: drawThreshold(p.Mix.fpShare())}
 
 	w := p.Mix.weights()
 	sum := 0.0
@@ -259,15 +291,17 @@ func (g *Generator) buildProgram() {
 		pc += uint64(n+1) * 4 // +1 for the terminating branch
 		b.seqMem = g.rng.bool(p.SeqFrac)
 		b.region = (uint64(g.rng.intn(int(regions))) * regionSize) % p.WorkingSet
+		bias := 0.2
 		if g.rng.bool(p.BiasedFrac) {
 			if g.rng.bool(p.TakenBias) {
-				b.bias = 0.96
+				bias = 0.96
 			} else {
-				b.bias = 0.04
+				bias = 0.04
 			}
 		} else {
-			b.bias = 0.2 + 0.6*g.rng.float64()
+			bias += 0.6 * g.rng.float64()
 		}
+		b.takenDraw = drawThreshold(bias)
 		b.takenTo = g.rng.intn(p.Blocks)
 		b.fallTo = (i + 1) % p.Blocks
 	}
@@ -312,35 +346,35 @@ func (g *Generator) synth(b *block, class isa.Class, pc uint64) isa.Inst {
 		// no operands
 	case isa.ClassIntALU, isa.ClassIntMul, isa.ClassIntDiv:
 		in.Src1 = g.pickInt()
-		if g.rng.bool(0.7) {
+		if g.rng.below(src2IntDraw) {
 			in.Src2 = g.pickInt()
 		}
-		if class == isa.ClassIntALU && g.rng.bool(1.0/ptrUpdateEvery) {
+		if class == isa.ClassIntALU && g.rng.below(ptrUpdateDraw) {
 			// Address-computation write refreshing a pointer register.
 			in.Dst = isa.IntReg(1 + g.rng.intn(numPtrRegs))
 			g.write(in.Dst, false) // pointers are consumed via loads/stores
 		} else {
 			in.Dst = g.allocInt()
-			g.write(in.Dst, !g.rng.bool(g.p.DeadFrac))
+			g.write(in.Dst, !g.rng.below(g.deadDraw))
 		}
 	case isa.ClassFPAdd, isa.ClassFPMul, isa.ClassFPDiv:
 		in.Src1 = g.pickFP()
-		if g.rng.bool(0.8) {
+		if g.rng.below(src2FPDraw) {
 			in.Src2 = g.pickFP()
 		}
 		in.Dst = g.allocFP()
-		g.write(in.Dst, !g.rng.bool(g.p.DeadFrac))
+		g.write(in.Dst, !g.rng.below(g.deadDraw))
 	case isa.ClassLoad:
 		in.Src1 = g.ptrReg()
 		in.Addr = g.address(b)
-		if g.rng.bool(g.fpShare) {
+		if g.rng.below(g.fpDraw) {
 			in.Dst = g.allocFP()
 		} else {
 			in.Dst = g.allocInt()
 		}
-		g.write(in.Dst, !g.rng.bool(g.p.DeadFrac))
+		g.write(in.Dst, !g.rng.below(g.deadDraw))
 	case isa.ClassStore:
-		if g.rng.bool(g.fpShare) {
+		if g.rng.below(g.fpDraw) {
 			in.Src1 = g.pickFP()
 		} else {
 			in.Src1 = g.pickInt()
@@ -362,7 +396,7 @@ func (g *Generator) synthBranch(b *block) isa.Inst {
 		Src1:  g.pickInt(),
 		Src2:  isa.RegNone,
 	}
-	in.Taken = g.rng.bool(b.bias)
+	in.Taken = g.rng.below(b.takenDraw)
 	if in.Taken {
 		in.Target = g.blocks[b.takenTo].pc
 		g.cur = b.takenTo
@@ -377,15 +411,10 @@ func (g *Generator) synthBranch(b *block) isa.Inst {
 // overwritten — the generator's mechanism for controllable dead-value
 // masking).
 func (g *Generator) write(reg isa.Reg, live bool) {
-	g.seq++
-	g.lastSeq[reg] = g.seq
-	if live {
-		e := histEntry{reg: reg, seq: g.seq}
-		if reg.IsFP() {
-			g.fpHist.push(e)
-		} else {
-			g.intHist.push(e)
-		}
+	if reg.IsFP() {
+		g.fpHist.write(reg, live)
+	} else {
+		g.intHist.write(reg, live)
 	}
 }
 
@@ -402,8 +431,8 @@ func (g *Generator) allocFP() isa.Reg {
 // pickInt returns an integer source register at a geometric dependency
 // distance, falling back to r5 before any value has been produced.
 func (g *Generator) pickInt() isa.Reg {
-	d := g.rng.geometric(g.p.DepDistMean, maxDepDist)
-	if r := g.intHist.pick(d, &g.lastSeq); r != isa.RegNone {
+	d := g.rng.geometric(g.depDraw, maxDepDist)
+	if r := g.intHist.pick(d); r != isa.RegNone {
 		return r
 	}
 	return isa.IntReg(firstDataReg)
@@ -411,8 +440,8 @@ func (g *Generator) pickInt() isa.Reg {
 
 // pickFP is pickInt for the floating-point file.
 func (g *Generator) pickFP() isa.Reg {
-	d := g.rng.geometric(g.p.DepDistMean, maxDepDist)
-	if r := g.fpHist.pick(d, &g.lastSeq); r != isa.RegNone {
+	d := g.rng.geometric(g.depDraw, maxDepDist)
+	if r := g.fpHist.pick(d); r != isa.RegNone {
 		return r
 	}
 	return isa.FPReg(0)

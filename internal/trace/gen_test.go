@@ -271,12 +271,12 @@ func TestRNGDistributions(t *testing.T) {
 	// geometric mean ~ target mean.
 	gsum := 0
 	for i := 0; i < n; i++ {
-		gsum += r.geometric(4, 100)
+		gsum += r.geometric(drawThreshold(1.0/4), 100)
 	}
 	if gm := float64(gsum) / n; math.Abs(gm-4) > 0.15 {
 		t.Errorf("geometric mean = %.3f, want ~4", gm)
 	}
-	if r.geometric(0.5, 10) != 1 {
+	if r.geometric(drawThreshold(1/0.5), 10) != 1 {
 		t.Error("geometric with mean <= 1 should return 1")
 	}
 	// intn bounds.
@@ -294,24 +294,150 @@ func TestRNGDistributions(t *testing.T) {
 
 func TestHistRingSkipsOverwritten(t *testing.T) {
 	var h histRing
-	var lastSeq [64]uint32
-	// Write r5 (seq 1), r6 (seq 2); then overwrite r5 (seq 3, dead write
-	// not pushed). pick(1) must be r6; the stale r5 entry is skipped at
-	// pick(2).
-	h.push(histEntry{reg: isa.IntReg(5), seq: 1})
-	lastSeq[isa.IntReg(5)] = 1
-	h.push(histEntry{reg: isa.IntReg(6), seq: 2})
-	lastSeq[isa.IntReg(6)] = 2
-	lastSeq[isa.IntReg(5)] = 3 // overwritten
-	if got := h.pick(1, &lastSeq); got != isa.IntReg(6) {
+	// Write r5 and r6 live, then overwrite r5 with a dead value. pick(1)
+	// must be r6; with r5's value gone, pick(2) falls back to r6.
+	h.write(isa.IntReg(5), true)
+	h.write(isa.IntReg(6), true)
+	h.write(isa.IntReg(5), false)
+	if got := h.pick(1); got != isa.IntReg(6) {
 		t.Errorf("pick(1) = %v, want r6", got)
 	}
-	if got := h.pick(2, &lastSeq); got != isa.IntReg(6) {
+	if got := h.pick(2); got != isa.IntReg(6) {
 		t.Errorf("pick(2) should fall back to newest live, got %v", got)
 	}
 	var empty histRing
-	if got := empty.pick(1, &lastSeq); got != isa.RegNone {
+	if got := empty.pick(1); got != isa.RegNone {
 		t.Errorf("empty ring pick = %v", got)
+	}
+}
+
+// scanRing is the stale-skip history ring the live-writer index replaced,
+// kept as the oracle for it: a ring of the last histCap live writes, each
+// tagged with its write's sequence number, scanned newest first past
+// entries whose register has been written since.
+type scanRing struct {
+	buf [histCap]struct {
+		reg isa.Reg
+		seq uint32
+	}
+	head, n int
+	lastSeq [64]uint32
+	seq     uint32
+}
+
+func (s *scanRing) write(reg isa.Reg, live bool) {
+	s.seq++
+	s.lastSeq[reg] = s.seq
+	if !live {
+		return
+	}
+	s.buf[s.head].reg, s.buf[s.head].seq = reg, s.seq
+	s.head = (s.head + 1) % histCap
+	if s.n < histCap {
+		s.n++
+	}
+}
+
+func (s *scanRing) pick(dist int) isa.Reg {
+	seen := 0
+	newest := isa.RegNone
+	for i := 1; i <= s.n; i++ {
+		e := s.buf[(s.head-i+histCap*2)%histCap]
+		if s.lastSeq[e.reg] != e.seq {
+			continue
+		}
+		if newest == isa.RegNone {
+			newest = e.reg
+		}
+		if seen++; seen >= dist {
+			return e.reg
+		}
+	}
+	return newest
+}
+
+// TestHistRingMatchesScan drives the live-writer index and the scan
+// oracle with the same random write streams: live and dead data writes,
+// dead pointer refreshes, and runs long enough that entries expire. Every
+// distance must pick the same register after every write.
+func TestHistRingMatchesScan(t *testing.T) {
+	for seed := uint64(1); seed <= 16; seed++ {
+		r := newRNG(seed)
+		var h histRing
+		var o scanRing
+		// Few registers make live entries outlast histCap pushes; many
+		// make most entries go stale inside the window.
+		regs := 1 + r.intn(isa.NumIntArchRegs-firstDataReg)
+		deadFrac := r.float64()
+		for i := 0; i < 2000; i++ {
+			var reg isa.Reg
+			live := !r.bool(deadFrac)
+			if r.bool(0.06) {
+				reg, live = isa.IntReg(1+r.intn(numPtrRegs)), false
+			} else {
+				reg = isa.IntReg(firstDataReg + r.intn(regs))
+			}
+			h.write(reg, live)
+			o.write(reg, live)
+			for d := 1; d <= maxDepDist+2; d++ {
+				if got, want := h.pick(d), o.pick(d); got != want {
+					t.Fatalf("seed %d write %d: pick(%d) = %v, scan oracle %v", seed, i, d, got, want)
+				}
+			}
+		}
+	}
+}
+
+// floatGeometric is geometric as it compared draws before the integer
+// threshold: the float draw against p = 1/mean.
+func floatGeometric(r *rng, mean float64, cap int) int {
+	if mean <= 1 {
+		return 1
+	}
+	p := 1 / mean
+	n := 1
+	for r.float64() >= p && n < cap {
+		n++
+	}
+	return n
+}
+
+// TestGeometricMatchesFloatCompare checks the integer-threshold geometric
+// against the float comparison draw for draw: the same samples and the
+// same generator state after each, at every profile's dependency mean and
+// at the edges.
+func TestGeometricMatchesFloatCompare(t *testing.T) {
+	for _, mean := range []float64{1, 1.5, 2.5, 3, 3.5, 4, 5, 7, 8, 10, 48} {
+		// A random draw lands on the threshold with odds 2^-53, so check
+		// the boundary itself: it is the least draw that ends the loop.
+		p, th := 1/mean, drawThreshold(1/mean)
+		if float64(th)/(1<<53) < p || float64(th-1)/(1<<53) >= p {
+			t.Fatalf("mean %v: threshold %d is not the least draw u with u/2^53 >= %v", mean, th, p)
+		}
+		for seed := uint64(0); seed < 32; seed++ {
+			a, b := newRNG(seed), newRNG(seed)
+			for i := 0; i < 2000; i++ {
+				got, want := a.geometric(th, maxDepDist), floatGeometric(b, mean, maxDepDist)
+				if got != want || a.state != b.state {
+					t.Fatalf("mean %v seed %d draw %d: geometric %d, float compare %d (state %#x vs %#x)",
+						mean, seed, i, got, want, a.state, b.state)
+				}
+			}
+		}
+	}
+}
+
+// TestBelowMatchesBool checks the integer-threshold draw against the float
+// one draw for draw, at the generator's fixed probabilities and the edges.
+func TestBelowMatchesBool(t *testing.T) {
+	for _, p := range []float64{0, 1.0 / ptrUpdateEvery, 0.04, 0.15, 1.0 / 3, 0.7, 0.8, 0.96, 1} {
+		a, b := newRNG(11), newRNG(11)
+		th := drawThreshold(p)
+		for i := 0; i < 100_000; i++ {
+			if got, want := a.below(th), b.bool(p); got != want {
+				t.Fatalf("p %v draw %d: below %v, bool %v", p, i, got, want)
+			}
+		}
 	}
 }
 

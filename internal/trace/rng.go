@@ -1,5 +1,7 @@
 package trace
 
+import "math"
+
 // rng is a small, fast, deterministic PRNG (xorshift64* family, seeded via
 // SplitMix64). The generator must be reproducible across runs and cheap
 // enough to call several times per synthesized instruction, which rules out
@@ -46,20 +48,30 @@ func (r *rng) intn(n int) int {
 	return int(r.next64() % uint64(n))
 }
 
-// geometric returns a sample from a geometric distribution with the given
-// mean (>= 1): the number of trials until first success with p = 1/mean,
-// capped at cap to keep lookback windows bounded.
-func (r *rng) geometric(mean float64, cap int) int {
-	if mean <= 1 {
+// geometric returns a sample from a geometric distribution with success
+// probability p (thresh = drawThreshold(p)): the number of trials until the
+// first success, capped at cap to keep lookback windows bounded. p >= 1
+// (a mean of at most 1) returns 1 without drawing.
+func (r *rng) geometric(thresh uint64, cap int) int {
+	if thresh >= 1<<53 {
 		return 1
 	}
-	p := 1 / mean
 	n := 1
-	for r.float64() >= p && n < cap {
+	for !r.below(thresh) && n < cap {
 		n++
 	}
 	return n
 }
 
+// drawThreshold returns ceil(p*2^53), the least 53-bit draw u for which
+// float64() = u/2^53 is >= p (both sides are exact: u < 2^53 and the
+// scaling is by a power of two). Comparing raw draws against it gives the
+// float comparison's outcomes without converting each draw.
+func drawThreshold(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
 // bool returns true with probability p.
 func (r *rng) bool(p float64) bool { return r.float64() < p }
+
+// below returns true with probability p, given thresh = drawThreshold(p):
+// the same draw and outcome as bool(p), without the float conversion.
+func (r *rng) below(thresh uint64) bool { return r.next64()>>11 < thresh }
