@@ -1,5 +1,6 @@
-# Developer entry points. `make check` is the tier-1 gate plus the race
-# detector (the scheduler/server subsystem is concurrent; keep it clean).
+# Developer entry points. `make check` is the tier-1 gate plus the gofmt
+# check and the race detector (the scheduler/server subsystem is
+# concurrent; keep it clean).
 
 GO ?= go
 
@@ -8,7 +9,7 @@ GO ?= go
 PGOFILE := default.pgo
 GOFLAGS_PGO := $(if $(wildcard $(PGOFILE)),-pgo=$(abspath $(PGOFILE)),)
 
-.PHONY: all build test vet race check cover bench bench-json pgo report daemon clean
+.PHONY: all fmt build test vet race check cover bench bench-json pgo report daemon clean
 
 all: check
 
@@ -24,7 +25,11 @@ vet:
 race:
 	$(GO) test -race ./...
 
-check: build vet test race
+# fmt fails, listing the files, when any Go file is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
+
+check: fmt build vet test race
 
 # cover gates the observability layer at >= 80% statement coverage: it is
 # the one subsystem whose breakage (a silent scrape regression) tests

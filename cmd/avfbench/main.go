@@ -2,7 +2,7 @@
 // four standardized scenarios and appends a machine-readable report
 // (BENCH_<n>.json) to the repo's benchmark history:
 //
-//	bare       pipeline.Step alone — the raw timing-simulator hot loop
+//	bare       the pipeline alone — the raw timing-simulator hot loop
 //	softarch   + the offline reference analyzer on the pipeline hooks
 //	estimator  + the online AVF estimator (inject/propagate/conclude)
 //	fused      + both, wired exactly like internal/experiment.Run
@@ -436,19 +436,24 @@ func runScenario(def scenarioDef, bench string, seed uint64, warmup, cycles int6
 		p.SetRecorder(flight.New(1 << 20))
 	}
 
-	step := func() error {
-		if !p.Step() {
-			return fmt.Errorf("trace ended at cycle %d", p.Cycle())
-		}
-		if est != nil {
-			est.Tick()
+	// run simulates n cycles, skipping idle ones as experiment.Run does.
+	run := func(n int64) error {
+		for end := p.Cycle() + n; p.Cycle() < end; {
+			horizon := end
+			if est != nil {
+				horizon = min(horizon, est.NextEvent())
+			}
+			if !p.StepUntil(horizon) {
+				return fmt.Errorf("trace ended at cycle %d", p.Cycle())
+			}
+			if est != nil {
+				est.Tick()
+			}
 		}
 		return nil
 	}
-	for i := int64(0); i < warmup; i++ {
-		if err := step(); err != nil {
-			return nil, err
-		}
+	if err := run(warmup); err != nil {
+		return nil, err
 	}
 
 	runtime.GC()
@@ -460,10 +465,8 @@ func runScenario(def scenarioDef, bench string, seed uint64, warmup, cycles int6
 		inj0 = est.ConcludedInjections()
 	}
 	start := time.Now()
-	for i := int64(0); i < cycles; i++ {
-		if err := step(); err != nil {
-			return nil, err
-		}
+	if err := run(cycles); err != nil {
+		return nil, err
 	}
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)

@@ -140,6 +140,7 @@ func main() {
 		server.WithJobDeadline(*deadline),
 		server.WithMaxBodyBytes(*maxBody),
 		server.WithStreamWriteTimeout(*streamWriteTimeout),
+		server.WithDrainTimeout(*drain),
 	}
 	if *cacheMax >= 0 {
 		// The content-addressed result cache: duplicate submissions replay
@@ -234,13 +235,9 @@ func main() {
 		logger.Warn("drain deadline hit; canceled remaining jobs")
 	}
 	httpSrv.Close()
+	// Close waits, at most -drain, for every job's terminal frames.
 	srv.Close()
 	if st != nil {
-		// The watcher goroutines append each job's terminal frame right
-		// after its task goes terminal; give the stragglers a beat before
-		// sealing the WAL. A frame that misses the window is harmless —
-		// the job stays "running" in the log, which also resumes.
-		time.Sleep(200 * time.Millisecond)
 		if err := st.Close(); err != nil {
 			logger.Error("close job store", "error", err)
 		}

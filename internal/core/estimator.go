@@ -203,15 +203,17 @@ type structState struct {
 
 // Estimator drives Algorithm 1 against a pipeline. Wire it up with Attach
 // (or merge its handlers into your own pipeline.Hooks), then call Tick
-// after every pipeline.Step.
+// after every pipeline.Step or StepUntil.
 type Estimator struct {
 	p   *pipeline.Pipeline
 	opt Options
 
-	states     [pipeline.NumStructures]*structState
-	active     []*structState
-	nextInject int64
-	rngState   uint64
+	states [pipeline.NumStructures]*structState
+	active []*structState
+	// nextEvent is the first cycle on which Tick does work: the next
+	// injection boundary, in lane mode the earliest lane's due cycle.
+	nextEvent int64
+	rngState  uint64
 	// muxTurn is the index of the structure receiving the next injection
 	// in Multiplex mode.
 	muxTurn int
@@ -221,10 +223,9 @@ type Estimator struct {
 	concluded int64
 
 	// Multi-lane engine state (lanes.go); laneMode gates Tick's dispatch.
-	laneMode  bool
-	lanes     []laneState
-	nextEvent int64
-	lanePops  [pipeline.MaxLanes]int
+	laneMode bool
+	lanes    []laneState
+	lanePops [pipeline.MaxLanes]int
 }
 
 // NewEstimator builds an estimator for p.
@@ -246,7 +247,7 @@ func NewEstimator(p *pipeline.Pipeline, opt Options) (*Estimator, error) {
 		e.states[s] = st
 		e.active = append(e.active, st)
 	}
-	e.nextInject = p.Cycle() // inject immediately on the first Tick
+	e.nextEvent = p.Cycle() // inject immediately on the first Tick
 	if opt.Lanes > 1 {
 		e.initLanes()
 	}
@@ -301,7 +302,7 @@ func (e *Estimator) Tick() {
 		return
 	}
 	cycle := e.p.Cycle()
-	if cycle < e.nextInject {
+	if cycle < e.nextEvent {
 		return
 	}
 	if e.opt.Multiplex {
@@ -320,14 +321,18 @@ func (e *Estimator) Tick() {
 	}
 	if e.opt.RandomSchedule {
 		gap := 1 + int64(e.rand()%uint64(2*e.opt.M))
-		e.nextInject = cycle + gap
+		e.nextEvent = cycle + gap
 	} else {
-		e.nextInject = cycle + e.opt.M
+		e.nextEvent = cycle + e.opt.M
 	}
 	if e.opt.OnConcludeScan != nil {
 		e.opt.OnConcludeScan(cycle)
 	}
 }
+
+// NextEvent returns the first cycle on which Tick will do work, so a
+// driver may skip idle cycles up to it (see pipeline.StepUntil).
+func (e *Estimator) NextEvent() int64 { return e.nextEvent }
 
 // conclude finishes the live injection for st, if any, and emits an
 // estimate when N injections have completed.

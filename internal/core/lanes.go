@@ -61,7 +61,6 @@ func (e *Estimator) initLanes() {
 			nextAt:     e.p.Cycle(),
 		}
 	}
-	e.nextEvent = e.p.Cycle()
 }
 
 // HandleFailureMask is the pipeline.Hooks.OnFailureMask sink: a

@@ -402,6 +402,11 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 		}
 		return true
 	}
+	// StepUntil skips idle cycles up to the next tick, sample or stop.
+	stopCycle := totalCycles + 1
+	if rc.Lanes > 1 {
+		stopCycle = capCycles + 1
+	}
 	nextSample := intervalCycles
 	nextCtxCheck := int64(ctxCheckStride)
 	lastConcluded := int64(-1)
@@ -413,11 +418,11 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 					break
 				}
 			}
-			if p.Cycle() > capCycles {
+			if p.Cycle() >= stopCycle {
 				return nil, fmt.Errorf("experiment: lane run exceeded %d cycles without completing %d intervals",
 					capCycles, rc.Intervals)
 			}
-		} else if p.Cycle() >= totalCycles+1 {
+		} else if p.Cycle() >= stopCycle {
 			break
 		}
 		if p.Cycle() >= nextCtxCheck {
@@ -426,7 +431,7 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 			}
 			nextCtxCheck = p.Cycle() + ctxCheckStride
 		}
-		if !p.Step() {
+		if !p.StepUntil(min(est.NextEvent(), nextSample, stopCycle)) {
 			return nil, fmt.Errorf("experiment: trace ended after %d cycles (%d retired); profiles are cyclic so this indicates a bug",
 				p.Cycle(), p.Retired())
 		}

@@ -14,7 +14,8 @@ import (
 // bounded by simulation work, not the garbage collector. Any regression
 // here — an escaping event struct, a map in the cycle loop, a pool that
 // refills from the heap — fails this test before it shows up as a
-// benchmark slowdown.
+// benchmark slowdown. StepUntil, which skips idle cycles, is held to the
+// same bar.
 func TestStepZeroAllocs(t *testing.T) {
 	prof, err := workload.ByName("mesa")
 	if err != nil {
@@ -36,5 +37,11 @@ func TestStepZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("pipeline.Step allocates %.4f objects/cycle in steady state, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(20_000, func() {
+		p.StepUntil(p.Cycle() + 100)
+	})
+	if allocs != 0 {
+		t.Fatalf("pipeline.StepUntil allocates %.4f objects/call in steady state, want 0", allocs)
 	}
 }

@@ -182,9 +182,10 @@ type Pipeline struct {
 	seq     int64 // next fetch sequence number
 	retired int64
 
-	// Fetch state.
-	pending         fetched // next instruction not yet in the buffer
-	havePending     bool
+	// Fetch state. fbuf[fhead:fend] holds the instructions read from
+	// the source and not yet fetched.
+	fbuf            [fetchBlock]isa.Inst
+	fhead, fend     int
 	srcDone         bool
 	instBuf         *ring[fetched]
 	fetchStallUntil int64
@@ -246,6 +247,9 @@ type Pipeline struct {
 	// uop free pool.
 	pool []*uop
 }
+
+// fetchBlock is how many instructions fetch reads from its source at once.
+const fetchBlock = 32
 
 // New builds a pipeline over the given instruction source.
 func New(cfg *config.Config, src trace.Source) (*Pipeline, error) {
@@ -323,8 +327,44 @@ func (p *Pipeline) Step() bool {
 	p.issue()
 	p.dispatch()
 	p.fetch()
-	p.accountCycle()
+	p.accountCycle(1)
 	p.cycle++
+	return true
+}
+
+// StepUntil simulates one cycle, like Step. The cycles after one in
+// which no instruction moved repeat it until the next completion or the
+// end of a fetch stall, so StepUntil then moves the clock there, or to
+// horizon if earlier, accounting the skipped cycles as Step would. A
+// caller passing the next cycle it must act on sees the pipeline it
+// would see with plain Steps.
+func (p *Pipeline) StepUntil(horizon int64) bool {
+	// Moving an instruction moves one of these: fetch moves seq; without
+	// fetch, dispatch shrinks the instruction buffer; without dispatch,
+	// issue shrinks the issue queues; without issue, completion shrinks
+	// executing; retire moves retired. What an idle cycle may still do —
+	// probe a line and begin a fetch stall, let an armed logic injection
+	// expire — leaves the next cycles idle.
+	retired, seq := p.retired, p.seq
+	buffered, queued, executing := p.instBuf.len(), p.iqPopulation(), len(p.executing)
+	if !p.Step() {
+		return false
+	}
+	if p.retired != retired || p.seq != seq || p.instBuf.len() != buffered ||
+		p.iqPopulation() != queued || len(p.executing) != executing || p.done() {
+		return true
+	}
+	next := horizon
+	for _, u := range p.executing {
+		next = min(next, u.doneCycle)
+	}
+	if !p.fetchHalted && p.fetchStallUntil >= p.cycle {
+		next = min(next, p.fetchStallUntil)
+	}
+	if k := next - p.cycle; k > 0 {
+		p.accountCycle(k)
+		p.cycle = next
+	}
 	return true
 }
 
@@ -341,7 +381,7 @@ func (p *Pipeline) Run(maxCycles int64) int64 {
 }
 
 func (p *Pipeline) done() bool {
-	return p.srcDone && !p.havePending && p.instBuf.empty() && p.rob.empty()
+	return p.srcDone && p.fhead == p.fend && p.instBuf.empty() && p.rob.empty()
 }
 
 // retire commits up to one dispatch group per cycle, in order.
@@ -746,22 +786,19 @@ func (p *Pipeline) fetch() {
 		return
 	}
 	for n := 0; n < p.cfg.FetchWidth && !p.instBuf.full(); n++ {
-		if !p.havePending {
-			in, ok := p.src.Next()
-			if !ok {
+		if p.fhead == p.fend {
+			p.fhead, p.fend = 0, trace.FillFrom(p.src, p.fbuf[:])
+			if p.fend == 0 {
 				p.srcDone = true
 				return
 			}
-			p.pending = fetched{inst: in, seq: p.seq}
-			p.havePending = true
-			p.seq++
 		}
-		f := &p.pending
+		in := &p.fbuf[p.fhead]
 		// New cache line: probe the I-side hierarchy; a miss stalls the
 		// front end until the line arrives.
-		line := f.inst.PC & p.lineMask
+		line := in.PC & p.lineMask
 		if !p.haveFetchLine || line != p.curFetchLine {
-			acc := p.hier.InstAccess(f.inst.PC)
+			acc := p.hier.InstAccess(in.PC)
 			p.curFetchLine = line
 			p.haveFetchLine = true
 			if acc.TLBHit {
@@ -792,7 +829,7 @@ func (p *Pipeline) fetch() {
 				return
 			}
 		}
-		f.errMask = p.curLineErr
+		f := fetched{inst: *in, seq: p.seq, errMask: p.curLineErr}
 		if p.recOn && f.errMask != 0 {
 			ev := p.baseEv(EvFetchCopy, f.errMask)
 			ev.Seq = f.seq
@@ -804,8 +841,9 @@ func (p *Pipeline) fetch() {
 		if f.inst.Class == isa.ClassBranch {
 			f.mispred = p.pred.Resolve(f.inst.PC, f.inst.Taken, f.inst.Target)
 		}
-		p.instBuf.push(*f)
-		p.havePending = false
+		p.instBuf.push(f)
+		p.fhead++
+		p.seq++
 
 		if f.inst.Class == isa.ClassBranch {
 			if f.mispred {
@@ -823,12 +861,17 @@ func (p *Pipeline) fetch() {
 	}
 }
 
-// accountCycle updates per-cycle statistics.
-func (p *Pipeline) accountCycle() {
+// iqPopulation is the combined issue-queue population.
+func (p *Pipeline) iqPopulation() int {
+	return p.queues[QFXU].count + p.queues[QFPU].count + p.queues[QBr].count
+}
+
+// accountCycle updates the per-cycle statistics for n cycles.
+func (p *Pipeline) accountCycle(n int64) {
 	for k := 0; k < NumFUKinds; k++ {
-		p.busyUnitCycles[k] += p.activeUnits[k]
+		p.busyUnitCycles[k] += n * p.activeUnits[k]
 	}
-	p.iqOccupancySum += int64(p.queues[QFXU].count + p.queues[QFPU].count + p.queues[QBr].count)
+	p.iqOccupancySum += n * int64(p.iqPopulation())
 	// Unconsumed single-cycle logic injections are masked (unit idle).
 	// Mask events are emitted in ascending structure order (matching the
 	// old per-structure pendingLogic sweep), insertion order within one.

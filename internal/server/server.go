@@ -403,14 +403,14 @@ func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID:        j.id,
-		State:     j.state(),
-		Benchmark: j.spec.Benchmark,
-		Submitted: j.submitted,
-		Intervals: append([]IntervalPoint(nil), j.points...),
-		Result:    j.result,
-		Error:     j.errMsg,
-		TraceID:   j.traceID(),
+		ID:          j.id,
+		State:       j.state(),
+		Benchmark:   j.spec.Benchmark,
+		Submitted:   j.submitted,
+		Intervals:   append([]IntervalPoint(nil), j.points...),
+		Result:      j.result,
+		Error:       j.errMsg,
+		TraceID:     j.traceID(),
 		Cached:      j.cached,
 		CacheLeader: j.cacheLeader,
 	}
@@ -469,6 +469,9 @@ type Server struct {
 	draining    atomic.Bool
 	janitorStop chan struct{}
 	closeOnce   sync.Once
+	// watchers counts the running watch goroutines (see Close).
+	watchers     sync.WaitGroup
+	drainTimeout time.Duration
 
 	// cache is the content-addressed result cache + single-flight table
 	// (nil without WithResultCache; see cache.go). pendingSweep/sweeping
@@ -572,6 +575,12 @@ func WithStreamWriteTimeout(d time.Duration) Option {
 	return func(s *Server) { s.streamTimeout = d }
 }
 
+// WithDrainTimeout bounds how long Close waits for finished jobs to
+// persist their terminal frames (default 30s).
+func WithDrainTimeout(d time.Duration) Option {
+	return func(s *Server) { s.drainTimeout = d }
+}
+
 // WithLogger sets the job-lifecycle logger (default slog.Default()).
 func WithLogger(l *slog.Logger) Option {
 	return func(s *Server) { s.log = l }
@@ -595,6 +604,7 @@ func New(pool *sched.Pool, opts ...Option) *Server {
 		log:           slog.Default(),
 		maxBody:       defaultMaxBody,
 		streamTimeout: defaultStreamWriteTimeout,
+		drainTimeout:  30 * time.Second,
 	}
 	for _, o := range opts {
 		o(s)
@@ -715,12 +725,21 @@ func (s *Server) Handler() http.Handler {
 // stays a terminal "canceled".
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Close stops the retention janitor. It does not touch running jobs —
-// the pool's Shutdown and the HTTP server's own shutdown own those.
+// Close stops the retention janitor and waits, at most the drain
+// timeout, until every ended job has written its terminal frames to the
+// store. It does not touch running jobs — the pool's Shutdown and the
+// HTTP server's own shutdown own those — so call it after the former.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.janitorStop != nil {
 			close(s.janitorStop)
+		}
+		done := make(chan struct{})
+		go func() { s.watchers.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(s.drainTimeout):
+			s.log.Warn("job watchers still running at close", "waited", s.drainTimeout)
 		}
 	})
 }
@@ -1097,6 +1116,7 @@ func (s *Server) launch(j *job, rc experiment.RunConfig) error {
 		// retire the flight before it opens (Drop would strand them).
 		s.cache.Launched(j.cacheKey)
 	}
+	s.watchers.Add(1)
 	go s.watch(j)
 	return nil
 }
@@ -1105,6 +1125,7 @@ func (s *Server) launch(j *job, rc experiment.RunConfig) error {
 // the task ends, whatever the path (done, canceled while queued or
 // running, failed, panicked), then gives retention a chance to evict.
 func (s *Server) watch(j *job) {
+	defer s.watchers.Done()
 	task := j.task
 	task.Wait(context.Background())
 	msg := ""

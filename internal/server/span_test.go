@@ -335,7 +335,7 @@ func TestStatsAndSLOEndpoints(t *testing.T) {
 // full span set from /v1/jobs/{id}/spans.
 func TestTraceContinuityAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	ts, _, st, pool := newStoreServer(t, dir,
+	ts, srv, st, pool := newStoreServer(t, dir,
 		WithSpans(span.NewRecorder(4096)),
 		WithSLO(span.NewEngine(span.DefaultObjectives())))
 	sub := postJobTraced(t, ts, tinyJob, "")
@@ -346,12 +346,15 @@ func TestTraceContinuityAcrossRestart(t *testing.T) {
 	if waitTerminal(t, ts, id, 30*time.Second).State != "done" {
 		t.Fatal("job did not finish")
 	}
+	// The job reads as done before its watcher has ended the root span
+	// and written the terminal frames; Close waits for the watcher.
+	pool.Shutdown(context.Background())
+	srv.Close()
 	before := fetchSpans(t, ts, id)
 	if len(before) == 0 {
 		t.Fatal("no spans before restart")
 	}
 	ts.Close()
-	pool.Shutdown(context.Background())
 	st.Close()
 
 	ts2, srv2, _, _ := newStoreServer(t, dir,

@@ -391,7 +391,8 @@ func TestFlushIdempotentEnough(t *testing.T) {
 // TestFusedStepZeroAllocs pins the pipeline plus the SoftArch hooks at
 // zero allocations per cycle once warm-up has run past two node windows:
 // by then the pending ring and the overflow chunks have reached their
-// working size and every buffer is recycled in place.
+// working size and every buffer is recycled in place. The same holds for
+// StepUntil.
 func TestFusedStepZeroAllocs(t *testing.T) {
 	prof, err := workload.ByName("mesa")
 	if err != nil {
@@ -416,5 +417,11 @@ func TestFusedStepZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fused Step allocates %.4f objects/cycle in steady state, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(20_000, func() {
+		p.StepUntil(p.Cycle() + 100)
+	})
+	if allocs != 0 {
+		t.Fatalf("fused StepUntil allocates %.4f objects/call in steady state, want 0", allocs)
 	}
 }

@@ -214,7 +214,7 @@ type block struct {
 }
 
 // Generator synthesizes a deterministic dynamic instruction stream from
-// Params. It implements Source and never ends.
+// Params. It implements Source and Filler and never ends.
 type Generator struct {
 	p      Params
 	rng    *rng
@@ -325,22 +325,30 @@ func (g *Generator) Params() Params { return g.p }
 
 // Next implements Source. The stream is infinite.
 func (g *Generator) Next() (isa.Inst, bool) {
-	b := &g.blocks[g.cur]
-	var in isa.Inst
-	if g.slot < len(b.classes) {
-		in = g.synth(b, b.classes[g.slot], b.pc+uint64(g.slot)*4)
-		g.slot++
-	} else {
-		in = g.synthBranch(b)
-		g.slot = 0
-	}
-	g.count++
-	return in, true
+	var buf [1]isa.Inst
+	g.Fill(buf[:])
+	return buf[0], true
 }
 
-// synth builds one non-branch instruction.
-func (g *Generator) synth(b *block, class isa.Class, pc uint64) isa.Inst {
-	in := isa.Inst{PC: pc, Class: class, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone}
+// Fill implements Filler; the stream never ends.
+func (g *Generator) Fill(buf []isa.Inst) int {
+	for i := range buf {
+		b := &g.blocks[g.cur]
+		if g.slot < len(b.classes) {
+			g.synth(&buf[i], b, b.classes[g.slot], b.pc+uint64(g.slot)*4)
+			g.slot++
+		} else {
+			g.synthBranch(&buf[i], b)
+			g.slot = 0
+		}
+	}
+	g.count += int64(len(buf))
+	return len(buf)
+}
+
+// synth builds one non-branch instruction in place.
+func (g *Generator) synth(in *isa.Inst, b *block, class isa.Class, pc uint64) {
+	*in = isa.Inst{PC: pc, Class: class, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone}
 	switch class {
 	case isa.ClassNop:
 		// no operands
@@ -384,12 +392,11 @@ func (g *Generator) synth(b *block, class isa.Class, pc uint64) isa.Inst {
 	default:
 		panic(fmt.Sprintf("trace: synth cannot build class %v", class))
 	}
-	return in
 }
 
 // synthBranch builds the block-terminating branch and advances the walk.
-func (g *Generator) synthBranch(b *block) isa.Inst {
-	in := isa.Inst{
+func (g *Generator) synthBranch(in *isa.Inst, b *block) {
+	*in = isa.Inst{
 		PC:    b.pc + uint64(len(b.classes))*4,
 		Class: isa.ClassBranch,
 		Dst:   isa.RegNone,
@@ -403,7 +410,6 @@ func (g *Generator) synthBranch(b *block) isa.Inst {
 	} else {
 		g.cur = b.fallTo
 	}
-	return in
 }
 
 // write records that reg now holds a fresh value; live values become

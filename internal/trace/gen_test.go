@@ -469,3 +469,72 @@ func TestLoopEmptyPanics(t *testing.T) {
 	}()
 	NewLoop(nil)
 }
+
+// nextOnly hides a Source's Fill method, so FillFrom takes its
+// one-Next-per-instruction path.
+type nextOnly struct{ Source }
+
+// TestFillMatchesNext checks that filling blocks of 1, 7 and 64
+// instructions yields the stream Next yields, through Fill directly and
+// through FillFrom on both of its paths, and that FillFrom on a finite
+// source ends in the middle of a block with a short count, then 0.
+func TestFillMatchesNext(t *testing.T) {
+	const n = 20_000
+	for _, size := range []int{1, 7, 64} {
+		for _, via := range []string{"Fill", "FillFrom", "FillFrom(Next)"} {
+			ref := MustNewGenerator(testParams())
+			g := MustNewGenerator(testParams())
+			buf := make([]isa.Inst, size)
+			for i := 0; i < n; i += size {
+				var got int
+				switch via {
+				case "Fill":
+					got = g.Fill(buf)
+				case "FillFrom":
+					got = FillFrom(g, buf)
+				default:
+					got = FillFrom(nextOnly{g}, buf)
+				}
+				if got != size {
+					t.Fatalf("%s(%d) wrote %d", via, size, got)
+				}
+				for j, in := range buf {
+					if want, _ := ref.Next(); in != want {
+						t.Fatalf("%s(%d): instruction %d is %+v, Next gives %+v", via, size, i+j, in, want)
+					}
+				}
+			}
+			if g.Count() != ref.Count() {
+				t.Errorf("%s(%d): Count %d, Next's twin %d", via, size, g.Count(), ref.Count())
+			}
+		}
+	}
+
+	insts := Collect(MustNewGenerator(testParams()), 100)
+	for _, size := range []int{7, 64} {
+		src := NewSliceSource(insts)
+		buf := make([]isa.Inst, size)
+		var got []isa.Inst
+		for {
+			k := FillFrom(src, buf)
+			got = append(got, buf[:k]...)
+			if k < size {
+				if want := len(insts) % size; k != want {
+					t.Errorf("block of %d: last fill wrote %d, want %d", size, k, want)
+				}
+				break
+			}
+		}
+		if k := FillFrom(src, buf); k != 0 {
+			t.Errorf("block of %d: fill after the end wrote %d", size, k)
+		}
+		if len(got) != len(insts) {
+			t.Fatalf("block of %d: filled %d instructions, want %d", size, len(got), len(insts))
+		}
+		for i := range got {
+			if got[i] != insts[i] {
+				t.Fatalf("block of %d: instruction %d differs", size, i)
+			}
+		}
+	}
+}

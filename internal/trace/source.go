@@ -13,6 +13,29 @@ type Source interface {
 	Next() (isa.Inst, bool)
 }
 
+// Filler is the block form of Source, implemented by the synthetic
+// streams: Fill writes the next instructions into buf and returns how
+// many it wrote, fewer than len(buf) only once the stream has ended.
+type Filler interface {
+	Fill(buf []isa.Inst) int
+}
+
+// FillFrom fills buf from src: in one call when src is a Filler,
+// otherwise one Next call per instruction until buf is full or the
+// stream ends. It returns how many instructions it wrote.
+func FillFrom(src Source, buf []isa.Inst) int {
+	if f, ok := src.(Filler); ok {
+		return f.Fill(buf)
+	}
+	for i := range buf {
+		var ok bool
+		if buf[i], ok = src.Next(); !ok {
+			return i
+		}
+	}
+	return len(buf)
+}
+
 // SliceSource adapts a slice of instructions into a Source.
 type SliceSource struct {
 	insts []isa.Inst
@@ -59,13 +82,6 @@ func (l *Limit) Next() (isa.Inst, bool) {
 
 // Collect drains up to max instructions from src into a slice.
 func Collect(src Source, max int) []isa.Inst {
-	out := make([]isa.Inst, 0, max)
-	for len(out) < max {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		out = append(out, in)
-	}
-	return out
+	out := make([]isa.Inst, max)
+	return out[:FillFrom(src, out)]
 }

@@ -86,7 +86,6 @@ type phasedSource struct {
 	gens    []*trace.Generator
 	cur     int
 	left    int64
-	cycle   int
 }
 
 func newPhasedSource(p *Profile, seed uint64) (*phasedSource, error) {
@@ -106,20 +105,26 @@ func newPhasedSource(p *Profile, seed uint64) (*phasedSource, error) {
 
 // Next implements trace.Source.
 func (s *phasedSource) Next() (isa.Inst, bool) {
-	for s.left <= 0 {
-		s.cur++
-		if s.cur == len(s.gens) {
-			s.cur = 0
-			s.cycle++
-		}
-		s.left = s.profile.Phases[s.cur].Insts
-	}
-	s.left--
-	return s.gens[s.cur].Next()
+	var buf [1]isa.Inst
+	s.Fill(buf[:])
+	return buf[0], true
 }
 
-// PhaseName returns the name of the phase currently being emitted.
-func (s *phasedSource) PhaseName() string { return s.profile.Phases[s.cur].Name }
+// Fill implements trace.Filler: each phase's generator fills the part of
+// buf that falls inside the phase. The stream never ends.
+func (s *phasedSource) Fill(buf []isa.Inst) int {
+	for done := 0; done < len(buf); {
+		for s.left <= 0 {
+			s.cur = (s.cur + 1) % len(s.gens)
+			s.left = s.profile.Phases[s.cur].Insts
+		}
+		n := int(min(s.left, int64(len(buf)-done)))
+		s.gens[s.cur].Fill(buf[done : done+n])
+		s.left -= int64(n)
+		done += n
+	}
+	return len(buf)
+}
 
 // Suite returns the eleven benchmark profiles in the paper's order.
 func Suite() []*Profile {

@@ -222,3 +222,40 @@ func TestProfileDiversity(t *testing.T) {
 		t.Errorf("sixtrack FP share = %.3f, should be FP-dominated", s)
 	}
 }
+
+// TestFillMatchesNext checks that a profile's source filled in blocks of
+// 1, 7 and 64 instructions yields the stream Next yields, across more
+// than three wraps of the phase schedule, so blocks straddle every phase
+// boundary.
+func TestFillMatchesNext(t *testing.T) {
+	for _, name := range []string{"ammp", "bzip2"} {
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p = Scale(p, 0.05)
+		var schedule int64
+		for _, ph := range p.Phases {
+			schedule += ph.Insts
+		}
+		n := 3*schedule + 1000
+		for _, size := range []int{1, 7, 64} {
+			ref := p.MustSource(3)
+			f, ok := p.MustSource(3).(trace.Filler)
+			if !ok {
+				t.Fatal("profile source does not implement trace.Filler")
+			}
+			buf := make([]isa.Inst, size)
+			for i := int64(0); i < n; i += int64(size) {
+				if got := f.Fill(buf); got != size {
+					t.Fatalf("%s: Fill(%d) wrote %d", name, size, got)
+				}
+				for j, in := range buf {
+					if want, _ := ref.Next(); in != want {
+						t.Fatalf("%s: Fill(%d) instruction %d is %+v, Next gives %+v", name, size, i+int64(j), in, want)
+					}
+				}
+			}
+		}
+	}
+}
