@@ -9,7 +9,7 @@ GO ?= go
 PGOFILE := default.pgo
 GOFLAGS_PGO := $(if $(wildcard $(PGOFILE)),-pgo=$(abspath $(PGOFILE)),)
 
-.PHONY: all fmt build test vet race check cover bench bench-json pgo report daemon clean
+.PHONY: all fmt build test vet race check cover bench bench-json pgo report daemon loc clean
 
 all: check
 
@@ -59,6 +59,19 @@ report:
 
 daemon:
 	$(GO) run ./cmd/avfd
+
+# loc prints the non-test and test Go lines of every package and in
+# total — the size figure each change reports. The separate perfbench
+# module and hidden directories (.git, .bench_build) are left out.
+loc:
+	@find . -name '*.go' -not -path './perfbench/*' -not -path './.*' | sort | xargs awk ' \
+		FNR == 1 { dir = FILENAME; sub(/\/[^\/]*$$/, "", dir); sub(/^\.\/?/, "", dir); \
+			if (dir == "") dir = "."; test = FILENAME ~ /_test\.go$$/; \
+			if (!(dir in c)) { names[++n] = dir; c[dir] = 0; t[dir] = 0 } } \
+		{ if (test) { t[dir]++; tt++ } else { c[dir]++; ct++ } } \
+		END { printf "%-22s %9s %6s\n", "package", "non-test", "test"; \
+			for (i = 1; i <= n; i++) printf "%-22s %9d %6d\n", names[i], c[names[i]], t[names[i]]; \
+			printf "%-22s %9d %6d\n", "total", ct, tt }'
 
 clean:
 	$(GO) clean ./...

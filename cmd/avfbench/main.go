@@ -406,18 +406,16 @@ func runScenario(def scenarioDef, bench string, seed uint64, warmup, cycles int6
 		if err != nil {
 			return nil, err
 		}
-		if def.lanes > 1 {
-			// Lane layout: retired masks carry lane bits only the
-			// estimator's lane table can attribute.
-			hooks.OnFailureMask = est.HandleFailureMask
-		} else {
-			hooks.OnFailure = est.HandleFailure
-		}
+		hooks.OnFailureMask = est.HandleFailureMask
 	}
 	if def.softarch {
-		ref, err = softarch.NewAnalyzer(p, softarch.Options{
-			IntervalCycles: benchM * benchN,
-		})
+		// The reference's interval must match the estimator's, which
+		// -lanes shortens.
+		interval := int64(benchM * benchN)
+		if est != nil {
+			interval = est.IntervalCycles()
+		}
+		ref, err = softarch.NewAnalyzer(p, softarch.Options{IntervalCycles: interval})
 		if err != nil {
 			return nil, err
 		}

@@ -95,16 +95,15 @@ type Options struct {
 	// equivalent per-injection, 4× faster wall-clock for four
 	// structures.)
 	Multiplex bool
-	// Lanes > 1 turns on the multi-lane injection engine: up to
-	// pipeline.MaxLanes independent experiments ride the same cycle loop,
-	// each on its own error-bit lane, assigned round-robin to the
-	// monitored structures (lane i → Structures[i % len]). Error
-	// propagation is purely bitwise, so the experiments compose without
-	// interacting, and N injections complete ~Lanes/len(Structures)
-	// times faster in simulated cycles. Lanes <= 1 (the default) keeps
-	// the classic one-plane-per-structure estimator — byte-identical
-	// output, golden-digest guaranteed. Incompatible with Multiplex
-	// (whose point is ONE live error machine-wide).
+	// Lanes > 1 runs up to pipeline.MaxLanes independent experiments on
+	// the same cycle loop, each on its own error-bit lane, assigned
+	// round-robin to the monitored structures (lane i → Structures[i %
+	// len]) and each on its own schedule. Error propagation is purely
+	// bitwise, so the experiments compose without interacting, and N
+	// injections complete ~Lanes/len(Structures) times faster in
+	// simulated cycles. Lanes <= 1 (the default) gives each structure one
+	// lane on its plane bit, all on one lockstep schedule. Incompatible
+	// with Multiplex (whose point is ONE live error machine-wide).
 	Lanes int
 }
 
@@ -132,17 +131,25 @@ func (o *Options) validate() error {
 		}
 		seen[s] = true
 	}
-	if o.Lanes > pipeline.MaxLanes {
-		return fmt.Errorf("core: Options.Lanes %d exceeds %d", o.Lanes, pipeline.MaxLanes)
+	return ValidateLanes(o.Lanes, o.Multiplex, o.Structures)
+}
+
+// ValidateLanes checks a lane count against the Multiplex setting and the
+// monitored structures (none means the paper's four): lanes lie in [0,
+// pipeline.MaxLanes], and more than one lane rules out Multiplex and
+// needs at least one lane per structure.
+func ValidateLanes(lanes int, multiplex bool, structures []pipeline.Structure) error {
+	n := len(structures)
+	if n == 0 {
+		n = len(pipeline.PaperStructures)
 	}
-	if o.Lanes > 1 {
-		if o.Multiplex {
-			return errors.New("core: Options.Lanes > 1 is incompatible with Multiplex")
-		}
-		if o.Lanes < len(o.Structures) {
-			return fmt.Errorf("core: Options.Lanes %d < %d monitored structures (each needs at least one lane)",
-				o.Lanes, len(o.Structures))
-		}
+	switch {
+	case lanes < 0 || lanes > pipeline.MaxLanes:
+		return fmt.Errorf("core: lanes %d out of range [0, %d]", lanes, pipeline.MaxLanes)
+	case lanes > 1 && multiplex:
+		return errors.New("core: lanes > 1 is incompatible with multiplex")
+	case lanes > 1 && lanes < n:
+		return fmt.Errorf("core: lanes %d < %d monitored structures (each needs at least one lane)", lanes, n)
 	}
 	return nil
 }
@@ -174,15 +181,13 @@ func (e Estimate) StdErr() float64 {
 	return math.Sqrt(p * (1 - p) / float64(e.Injections))
 }
 
-// structState is the per-structure Algorithm 1 state.
+// structState is one monitored structure's Algorithm 1 counters; its
+// live injections are held by the lanes that inject into it.
 type structState struct {
 	s       pipeline.Structure
 	entries int
 
-	nextEntry   int   // round-robin cursor
-	injectedAt  int64 // cycle of the live injection, -1 if none
-	entry       int   // entry/unit index of the live injection
-	failed      bool  // live injection already reached a failure point
+	nextEntry   int // round-robin cursor, shared by the structure's lanes
 	injections  int
 	failures    int
 	intervalIdx int
@@ -191,18 +196,12 @@ type structState struct {
 	// maintained only when OnIntervalSpan is set.
 	wallStart time.Time
 
-	// Failure details for the lifecycle record (valid while failed,
-	// written only when a Sink is attached).
-	failCycle int64
-	failSeq   int64
-	failClass isa.Class
-
 	estimates []Estimate
 	latencies stats.CDF
 }
 
 // Estimator drives Algorithm 1 against a pipeline. Wire it up with Attach
-// (or merge its handlers into your own pipeline.Hooks), then call Tick
+// (or put HandleFailureMask into your own pipeline.Hooks), then call Tick
 // after every pipeline.Step or StepUntil.
 type Estimator struct {
 	p   *pipeline.Pipeline
@@ -210,77 +209,70 @@ type Estimator struct {
 
 	states [pipeline.NumStructures]*structState
 	active []*structState
-	// nextEvent is the first cycle on which Tick does work: the next
-	// injection boundary, in lane mode the earliest lane's due cycle.
+
+	// The lane table (lanes.go), indexed by error bit; order lists the
+	// bits in use in the order Tick visits them.
+	lanes [pipeline.MaxLanes]laneState
+	order []int
+	pops  [pipeline.MaxLanes]int
+	// perLane selects the schedule policy: each lane draws its own gap
+	// (Lanes > 1), or all lanes share one lockstep gap per boundary.
+	perLane bool
+	// muxTurn is the index into order of the lane receiving the next
+	// injection in Multiplex mode.
+	muxTurn int
+	// nextEvent is the first cycle on which Tick does work.
 	nextEvent int64
 	rngState  uint64
-	// muxTurn is the index of the structure receiving the next injection
-	// in Multiplex mode.
-	muxTurn int
 
-	// concluded counts every concluded injection across all structures
-	// and lanes — the AVF-estimate throughput numerator avfbench reports.
+	// concluded counts every concluded injection across all lanes — the
+	// AVF-estimate throughput numerator avfbench reports.
 	concluded int64
-
-	// Multi-lane engine state (lanes.go); laneMode gates Tick's dispatch.
-	laneMode bool
-	lanes    []laneState
-	lanePops [pipeline.MaxLanes]int
 }
 
-// NewEstimator builds an estimator for p.
+// NewEstimator builds an estimator for p and fills its lane table: with
+// Lanes > 1, lane i rides bit i and injects into Structures[i % len];
+// otherwise each structure gets one lane on its plane bit.
 func NewEstimator(p *pipeline.Pipeline, opt Options) (*Estimator, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	e := &Estimator{p: p, opt: opt, rngState: opt.Seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
 	for _, s := range opt.Structures {
-		st := &structState{
-			s:          s,
-			entries:    p.StructureEntries(s),
-			injectedAt: -1,
-			startCycle: p.Cycle(),
-		}
+		st := &structState{s: s, entries: p.StructureEntries(s), startCycle: p.Cycle()}
 		if opt.OnIntervalSpan != nil {
 			st.wallStart = time.Now()
 		}
 		e.states[s] = st
 		e.active = append(e.active, st)
 	}
-	e.nextEvent = p.Cycle() // inject immediately on the first Tick
-	if opt.Lanes > 1 {
-		e.initLanes()
+	e.perLane = opt.Lanes > 1
+	if e.perLane {
+		for b := 0; b < opt.Lanes; b++ {
+			e.addLane(b, e.active[b%len(e.active)])
+		}
+	} else {
+		for _, st := range e.active {
+			e.addLane(int(st.s), st)
+		}
 	}
+	p.SetLaneLayout(e.perLane)
+	e.nextEvent = p.Cycle() // inject immediately on the first Tick
 	return e, nil
 }
 
 // Attach installs the estimator's failure handler as the pipeline's hooks.
-// Use HandleFailure (or HandleFailureMask in lane mode) directly if you
-// need to fan hooks out to several consumers.
+// Use HandleFailureMask directly if you need to fan hooks out to several
+// consumers.
 func (e *Estimator) Attach() {
-	if e.laneMode {
-		e.p.SetHooks(pipeline.Hooks{OnFailureMask: e.HandleFailureMask})
-		return
-	}
-	e.p.SetHooks(pipeline.Hooks{OnFailure: e.HandleFailure})
+	e.p.SetHooks(pipeline.Hooks{OnFailureMask: e.HandleFailureMask})
 }
 
-// HandleFailure is the pipeline.Hooks.OnFailure sink: a failure-point
-// instruction retired carrying plane s's error bit.
+// HandleFailure is HandleFailureMask for the single plane bit of s, kept
+// for perfbench's traced loop, which wires the structure-keyed
+// pipeline.Hooks.OnFailure.
 func (e *Estimator) HandleFailure(s pipeline.Structure, seq, cycle int64, class isa.Class) {
-	st := e.states[s]
-	if st == nil || st.injectedAt < 0 || st.failed {
-		return
-	}
-	st.failed = true
-	if e.opt.RecordLatency {
-		st.latencies.Add(cycle - st.injectedAt)
-	}
-	if e.opt.Sink != nil {
-		st.failCycle = cycle
-		st.failSeq = seq
-		st.failClass = class
-	}
+	e.HandleFailureMask(s.Bit(), seq, cycle, class)
 }
 
 func (e *Estimator) rand() uint64 {
@@ -292,139 +284,25 @@ func (e *Estimator) rand() uint64 {
 	return x * 0x2545f4914f6cdd1d
 }
 
-// Tick advances Algorithm 1; call it after every pipeline.Step. At each
-// injection boundary it concludes the live injections (counting failures),
-// clears all error bits, and injects the next error into each monitored
-// structure.
-func (e *Estimator) Tick() {
-	if e.laneMode {
-		e.tickLanes()
-		return
-	}
-	cycle := e.p.Cycle()
-	if cycle < e.nextEvent {
-		return
-	}
-	if e.opt.Multiplex {
-		// One live error machine-wide: conclude the structure whose
-		// injection just expired (the previous turn), then hand the
-		// slot to the next structure.
-		prev := (e.muxTurn + len(e.active) - 1) % len(e.active)
-		e.conclude(e.active[prev], cycle)
-		e.inject(e.active[e.muxTurn], cycle)
-		e.muxTurn = (e.muxTurn + 1) % len(e.active)
-	} else {
-		for _, st := range e.active {
-			e.conclude(st, cycle)
-			e.inject(st, cycle)
-		}
-	}
-	if e.opt.RandomSchedule {
-		gap := 1 + int64(e.rand()%uint64(2*e.opt.M))
-		e.nextEvent = cycle + gap
-	} else {
-		e.nextEvent = cycle + e.opt.M
-	}
-	if e.opt.OnConcludeScan != nil {
-		e.opt.OnConcludeScan(cycle)
-	}
-}
-
 // NextEvent returns the first cycle on which Tick will do work, so a
 // driver may skip idle cycles up to it (see pipeline.StepUntil).
 func (e *Estimator) NextEvent() int64 { return e.nextEvent }
 
-// conclude finishes the live injection for st, if any, and emits an
-// estimate when N injections have completed.
-func (e *Estimator) conclude(st *structState, cycle int64) {
-	if st.injectedAt < 0 {
-		return
-	}
-	st.injections++
-	e.concluded++
-	if st.failed {
-		st.failures++
-	}
-	if e.opt.Sink != nil {
-		e.recordInjection(st, cycle)
-	}
-	st.injectedAt = -1
-	st.failed = false
-	e.p.ClearPlane(st.s)
-
-	if st.injections >= e.opt.N {
-		est := Estimate{
-			Structure:  st.s,
-			Interval:   st.intervalIdx,
-			StartCycle: st.startCycle,
-			EndCycle:   cycle,
-			AVF:        float64(st.failures) / float64(st.injections),
-			Failures:   st.failures,
-			Injections: st.injections,
-		}
-		st.estimates = append(st.estimates, est)
-		st.intervalIdx++
-		st.injections = 0
-		st.failures = 0
-		st.startCycle = cycle
-		if e.opt.OnInterval != nil && est.Interval >= e.opt.StartInterval {
-			e.opt.OnInterval(est)
-		}
-		if e.opt.OnIntervalSpan != nil {
-			wallEnd := time.Now()
-			if est.Interval >= e.opt.StartInterval {
-				e.opt.OnIntervalSpan(est, st.wallStart, wallEnd)
-			}
-			st.wallStart = wallEnd
-		}
-	}
-}
-
-// recordInjection emits the lifecycle record for st's live injection,
-// classifying the outcome: failure if a failure point retired with the
-// bit, otherwise masked (plane empty — execution discarded the error)
-// or pending (bits still live at M-expiry, the Section 4 undercount).
-// Called only with a Sink attached, before the plane is cleared.
-func (e *Estimator) recordInjection(st *structState, cycle int64) {
-	rec := obs.Injection{
-		Structure:     st.s,
-		Entry:         st.entry,
-		Interval:      st.intervalIdx,
-		InjectCycle:   st.injectedAt,
-		ConcludeCycle: cycle,
-		ErrBits:       e.p.PlanePopulation(st.s),
-		Lane:          -1,
-	}
+// IntervalCycles is the length in cycles of one structure's estimation
+// interval: M×N, times len(Structures) under Multiplex (one live error
+// rotates across the structures). With Lanes > 1 each structure's pool of
+// about Lanes/len(Structures) lanes concludes a pool's worth of
+// injections per M cycles, so the smallest pool sets the pace.
+func (e *Estimator) IntervalCycles() int64 {
+	n := int64(e.opt.N)
 	switch {
-	case st.failed:
-		rec.Outcome = obs.OutcomeFailure
-		rec.Latency = st.failCycle - st.injectedAt
-		rec.FailSeq = st.failSeq
-		rec.FailClass = st.failClass
-	case rec.ErrBits > 0:
-		rec.Outcome = obs.OutcomePending
-	default:
-		rec.Outcome = obs.OutcomeMasked
+	case e.opt.Multiplex:
+		n *= int64(len(e.active))
+	case e.perLane:
+		pool := int64(e.opt.Lanes / len(e.active))
+		n = (n + pool - 1) / pool
 	}
-	e.opt.Sink.RecordInjection(rec)
-}
-
-// inject sets the next error bit for st: round-robin (or random) across
-// entries for storage structures and units for logic structures.
-func (e *Estimator) inject(st *structState, cycle int64) {
-	var idx int
-	if e.opt.RandomEntry {
-		idx = int(e.rand() % uint64(st.entries))
-	} else {
-		idx = st.nextEntry
-		st.nextEntry++
-		if st.nextEntry == st.entries {
-			st.nextEntry = 0
-		}
-	}
-	e.p.Inject(st.s, idx)
-	st.injectedAt = cycle
-	st.entry = idx
+	return e.opt.M * n
 }
 
 // Estimates returns the completed per-interval estimates for s (nil if s
@@ -465,18 +343,10 @@ func (e *Estimator) PendingInjections(s pipeline.Structure) int {
 }
 
 // ConcludedInjections returns the total number of injections concluded
-// so far across all structures and lanes — the numerator of the
+// so far across all lanes — the numerator of the
 // AVF-estimate throughput metric (injections per wall-second) avfbench
 // tracks across lane counts.
 func (e *Estimator) ConcludedInjections() int64 { return e.concluded }
-
-// Lanes returns the configured lane count (1 for the classic estimator).
-func (e *Estimator) Lanes() int {
-	if e.laneMode {
-		return e.opt.Lanes
-	}
-	return 1
-}
 
 // Structures returns the monitored structures.
 func (e *Estimator) Structures() []pipeline.Structure {

@@ -197,7 +197,7 @@ func TestLaneRandomScheduleKeepsOccupancyFull(t *testing.T) {
 }
 
 // TestLaneTickAllocatesNothingObsDisabled extends the zero-alloc guard
-// to the lane engine: with no Sink, driving pipeline + 64-lane estimator
+// to the per-lane schedule policy: with no Sink, driving pipeline + 64-lane estimator
 // allocates no more than driving the bare pipeline.
 func TestLaneTickAllocatesNothingObsDisabled(t *testing.T) {
 	const cycles = 5000 // N=1000 per pool: no interval boundary in range

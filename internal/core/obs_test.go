@@ -118,7 +118,7 @@ func TestSinkOutcomeClassification(t *testing.T) {
 // TestTickAllocatesNothingObsDisabled is the regression guard for the
 // estimator hot path: with no Sink and no RecordLatency, driving the
 // pipeline + estimator must allocate no more than driving the bare
-// pipeline — Tick, conclude, inject, and HandleFailure stay
+// pipeline — Tick, conclude, inject, and HandleFailureMask stay
 // allocation-free. (The only estimator allocations are the per-interval
 // Estimate appends, excluded here by stopping short of an interval
 // boundary.)

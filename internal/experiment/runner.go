@@ -332,19 +332,7 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	intervalCycles := rc.M * int64(rc.N)
-	if rc.Multiplex {
-		// One live error rotating across K structures: each structure
-		// completes its N injections only every K*M*N cycles.
-		intervalCycles *= int64(len(rc.Structures))
-	}
-	if rc.Lanes > 1 {
-		// Each structure's pool of ~Lanes/K lanes concludes poolSize
-		// injections per M-cycle boundary, so its interval takes
-		// ceil(N/poolSize)*M cycles; the smallest pool is the slowest.
-		minPool := rc.Lanes / len(rc.Structures)
-		intervalCycles = rc.M * int64((rc.N+minPool-1)/minPool)
-	}
+	intervalCycles := est.IntervalCycles()
 	ref, err := softarch.NewAnalyzer(p, softarch.Options{
 		IntervalCycles: intervalCycles,
 		Window:         rc.Window,
@@ -369,17 +357,11 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 	// Fan the pipeline hooks out to both consumers.
 	refHooks := ref.Hooks()
 	hooks := pipeline.Hooks{
-		OnFailure:   est.HandleFailure,
-		OnRetire:    refHooks.OnRetire,
-		OnRegWrite:  refHooks.OnRegWrite,
-		OnRegRead:   refHooks.OnRegRead,
-		OnTLBAccess: refHooks.OnTLBAccess,
-	}
-	if rc.Lanes > 1 {
-		// Lane layout: retired masks carry lane bits, which only the
-		// estimator's lane table can attribute.
-		hooks.OnFailure = nil
-		hooks.OnFailureMask = est.HandleFailureMask
+		OnFailureMask: est.HandleFailureMask,
+		OnRetire:      refHooks.OnRetire,
+		OnRegWrite:    refHooks.OnRegWrite,
+		OnRegRead:     refHooks.OnRegRead,
+		OnTLBAccess:   refHooks.OnTLBAccess,
 	}
 	p.SetHooks(hooks)
 

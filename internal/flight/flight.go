@@ -126,7 +126,7 @@ type Hop struct {
 }
 
 // Trace is one reconstructed injection window: every hop the injected
-// plane's bits took between Inject and the estimator's ClearPlane, plus
+// plane's bits took between Inject and the estimator's ClearPlanes, plus
 // the DAG of propagation edges between hops.
 type Trace struct {
 	// Structure is the injected plane; Entry its entry/unit index.

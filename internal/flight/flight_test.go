@@ -28,6 +28,15 @@ func newScriptedPipeline(t *testing.T, insts []isa.Inst, r *Recorder) *pipeline.
 	return p
 }
 
+// clearPlane concludes plane s's injection the way the estimator does: a
+// clear-plane delimiter carrying the pre-wipe population, then the wipe.
+func clearPlane(p *pipeline.Pipeline, s pipeline.Structure) {
+	var pops [pipeline.MaxLanes]int
+	p.PlanePopulations(s.Bit(), &pops)
+	p.EmitLaneClear(s, int(s), pops[s])
+	p.ClearPlanes(s.Bit())
+}
+
 func drain(t *testing.T, p *pipeline.Pipeline) {
 	t.Helper()
 	for i := 0; i < 1_000_000; i++ {
@@ -72,9 +81,9 @@ func TestTraceInjectToRetireFail(t *testing.T) {
 	p := newScriptedPipeline(t, insts, rec)
 	// Before any cycle the architectural->physical map is the identity,
 	// so arch r1 lives in physical register 1.
-	p.Inject(pipeline.StructReg, 1)
+	p.Inject(pipeline.StructReg, 1, pipeline.StructReg.Bit())
 	drain(t, p)
-	p.ClearPlane(pipeline.StructReg)
+	clearPlane(p, pipeline.StructReg)
 
 	res := rec.Traces()
 	if len(res.Traces) != 1 {
@@ -135,11 +144,11 @@ func TestTraceInjectToRetireFail(t *testing.T) {
 func TestTraceLogicIdleMasked(t *testing.T) {
 	rec := New(0)
 	p := newScriptedPipeline(t, nil, rec)
-	p.Inject(pipeline.StructFXU, 0)
+	p.Inject(pipeline.StructFXU, 0, pipeline.StructFXU.Bit())
 	for i := 0; i < 5; i++ {
 		p.Step()
 	}
-	p.ClearPlane(pipeline.StructFXU)
+	clearPlane(p, pipeline.StructFXU)
 
 	res := rec.Traces()
 	if len(res.Traces) != 1 {
@@ -165,7 +174,7 @@ func TestTraceLogicIdleMasked(t *testing.T) {
 func TestTraceOpenWindow(t *testing.T) {
 	rec := New(0)
 	p := newScriptedPipeline(t, nil, rec)
-	p.Inject(pipeline.StructReg, 3)
+	p.Inject(pipeline.StructReg, 3, pipeline.StructReg.Bit())
 	res := rec.Traces()
 	if len(res.Traces) != 1 || res.Traces[0].Outcome != OutcomeOpen || res.Traces[0].ConcludeCycle != -1 {
 		t.Fatalf("open window not reconstructed: %+v", res.Traces)
@@ -177,10 +186,10 @@ func TestTraceOpenWindow(t *testing.T) {
 func TestWriteNDJSON(t *testing.T) {
 	rec := New(0)
 	p := newScriptedPipeline(t, nil, rec)
-	p.Inject(pipeline.StructReg, 2)
-	p.ClearPlane(pipeline.StructReg)
-	p.Inject(pipeline.StructDTLB, 0)
-	p.ClearPlane(pipeline.StructDTLB)
+	p.Inject(pipeline.StructReg, 2, pipeline.StructReg.Bit())
+	clearPlane(p, pipeline.StructReg)
+	p.Inject(pipeline.StructDTLB, 0, pipeline.StructDTLB.Bit())
+	clearPlane(p, pipeline.StructDTLB)
 
 	var buf bytes.Buffer
 	if err := rec.Traces().WriteNDJSON(&buf); err != nil {

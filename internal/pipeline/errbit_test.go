@@ -65,7 +65,7 @@ func TestPaperExampleDeadValueMasked(t *testing.T) {
 	// physical register is its initial mapping, which line 3's rename
 	// replaces. The injected error is only read by line 4 if line 4 uses
 	// the same physical register — it does not (it reads line 3's).
-	p.Inject(StructReg, int(physOf(p, r3)))
+	p.Inject(StructReg, int(physOf(p, r3)), StructReg.Bit())
 	runToDrain(t, p)
 	if fc.count[StructReg] != 0 {
 		t.Errorf("dead-value injection caused %d failures, want 0", fc.count[StructReg])
@@ -90,7 +90,7 @@ func TestPaperExampleStoreFailure(t *testing.T) {
 	// before anything runs and make line 2 read the initial r4? No:
 	// line 1 renames r4. Corrupt the initial mapping of r1 instead: it
 	// feeds line 1 -> r4 -> r5 -> store.
-	p.Inject(StructReg, int(physOf(p, r1)))
+	p.Inject(StructReg, int(physOf(p, r1)), StructReg.Bit())
 	runToDrain(t, p)
 	if fc.count[StructReg] != 1 {
 		t.Errorf("store failure count = %d, want 1", fc.count[StructReg])
@@ -108,7 +108,7 @@ func TestErrorPropagatesToBranch(t *testing.T) {
 	}
 	p := newTestPipeline(t, insts)
 	fc := newFailureCollector(p)
-	p.Inject(StructReg, int(physOf(p, r1)))
+	p.Inject(StructReg, int(physOf(p, r1)), StructReg.Bit())
 	runToDrain(t, p)
 	if fc.count[StructReg] != 1 {
 		t.Errorf("branch failure count = %d, want 1", fc.count[StructReg])
@@ -124,7 +124,7 @@ func TestLoadFailurePoint(t *testing.T) {
 	}
 	p := newTestPipeline(t, insts)
 	fc := newFailureCollector(p)
-	p.Inject(StructReg, int(physOf(p, r1)))
+	p.Inject(StructReg, int(physOf(p, r1)), StructReg.Bit())
 	runToDrain(t, p)
 	if fc.count[StructReg] != 1 {
 		t.Errorf("load failure count = %d, want 1", fc.count[StructReg])
@@ -142,7 +142,7 @@ func TestErrorDiesWithDeadChain(t *testing.T) {
 	}
 	p := newTestPipeline(t, insts)
 	fc := newFailureCollector(p)
-	p.Inject(StructReg, int(physOf(p, r1)))
+	p.Inject(StructReg, int(physOf(p, r1)), StructReg.Bit())
 	runToDrain(t, p)
 	if fc.count[StructReg] != 0 {
 		t.Errorf("dead chain caused %d failures", fc.count[StructReg])
@@ -155,7 +155,7 @@ func TestErrorDiesWithDeadChain(t *testing.T) {
 func TestLogicInjectionIdleMasked(t *testing.T) {
 	p := newTestPipeline(t, nil) // empty pipeline: units always idle
 	fc := newFailureCollector(p)
-	p.Inject(StructFXU, 0)
+	p.Inject(StructFXU, 0, StructFXU.Bit())
 	for i := 0; i < 10; i++ {
 		p.Step()
 	}
@@ -181,7 +181,7 @@ func TestLogicInjectionActivePropagates(t *testing.T) {
 	// Arm an FXU unit-0 injection every cycle until the ALU op starts;
 	// exactly one injection can land because the op issues once.
 	for i := 0; i < 1000 && p.Retired() < 2; i++ {
-		p.Inject(StructFXU, 0)
+		p.Inject(StructFXU, 0, StructFXU.Bit())
 		p.Step()
 	}
 	runToDrain(t, p)
@@ -209,7 +209,7 @@ func TestIQInjectionOccupiedEntry(t *testing.T) {
 	}
 	landed := false
 	for e := 0; e < p.cfg.FXUQueueEntries; e++ {
-		if p.Inject(StructIQ, e) {
+		if p.Inject(StructIQ, e, StructIQ.Bit()) {
 			landed = true
 		}
 	}
@@ -225,12 +225,12 @@ func TestIQInjectionOccupiedEntry(t *testing.T) {
 // TestIQInjectionEmptyEntryMasked: corrupting a free entry does nothing.
 func TestIQInjectionEmptyEntryMasked(t *testing.T) {
 	p := newTestPipeline(t, nil)
-	if p.Inject(StructIQ, 0) {
+	if p.Inject(StructIQ, 0, StructIQ.Bit()) {
 		t.Error("empty entry injection reported as landed")
 	}
 }
 
-// TestClearPlaneRemovesAllBits: after ClearPlane, a previously injected
+// TestClearPlaneRemovesAllBits: after ClearPlanes, a previously injected
 // error can no longer cause failures.
 func TestClearPlaneRemovesAllBits(t *testing.T) {
 	r1, r5 := isa.IntReg(1), isa.IntReg(5)
@@ -240,8 +240,8 @@ func TestClearPlaneRemovesAllBits(t *testing.T) {
 	}
 	p := newTestPipeline(t, insts)
 	fc := newFailureCollector(p)
-	p.Inject(StructReg, int(physOf(p, r1)))
-	p.ClearPlane(StructReg)
+	p.Inject(StructReg, int(physOf(p, r1)), StructReg.Bit())
+	p.ClearPlanes(StructReg.Bit())
 	runToDrain(t, p)
 	if fc.count[StructReg] != 0 {
 		t.Errorf("cleared plane still caused %d failures", fc.count[StructReg])
@@ -258,16 +258,16 @@ func TestClearPlaneScrubsInFlight(t *testing.T) {
 	}
 	p := newTestPipeline(t, insts)
 	fc := newFailureCollector(p)
-	p.Inject(StructReg, int(physOf(p, r1)))
+	p.Inject(StructReg, int(physOf(p, r1)), StructReg.Bit())
 	// Let the divide issue (reading the corrupted register)...
 	for i := 0; i < 10; i++ {
 		p.Step()
 	}
 	// ...then clear the plane while the divide is still in flight.
-	p.ClearPlane(StructReg)
+	p.ClearPlanes(StructReg.Bit())
 	runToDrain(t, p)
 	if fc.count[StructReg] != 0 {
-		t.Errorf("in-flight bit survived ClearPlane: %d failures", fc.count[StructReg])
+		t.Errorf("in-flight bit survived ClearPlanes: %d failures", fc.count[StructReg])
 	}
 }
 
@@ -283,8 +283,8 @@ func TestPlanesAreIndependent(t *testing.T) {
 	}
 	p := newTestPipeline(t, insts)
 	fc := newFailureCollector(p)
-	p.Inject(StructReg, int(physOf(p, r1)))
-	p.Inject(StructFPReg, int(physOf(p, r1))) // same entry, different plane; int reg file is StructReg's
+	p.Inject(StructReg, int(physOf(p, r1)), StructReg.Bit())
+	p.Inject(StructFPReg, int(physOf(p, r1)), StructFPReg.Bit()) // same entry, different plane; int reg file is StructReg's
 	runToDrain(t, p)
 	if fc.count[StructReg] != 1 {
 		t.Errorf("REG failures = %d, want 1", fc.count[StructReg])
@@ -310,7 +310,7 @@ func TestInjectionIntoFreeRegisterMasked(t *testing.T) {
 	// Inject into a currently free register, then run: its bit must be
 	// overwritten by the next writer before any read.
 	free := p.intRF.free[len(p.intRF.free)-1]
-	p.Inject(StructReg, int(free))
+	p.Inject(StructReg, int(free), StructReg.Bit())
 	runToDrain(t, p)
 	if fc.count[StructReg] != 0 {
 		t.Errorf("free-register injection caused %d failures", fc.count[StructReg])
@@ -324,7 +324,7 @@ func TestInjectOutOfRangePanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	p.Inject(StructReg, 10_000)
+	p.Inject(StructReg, 10_000, StructReg.Bit())
 }
 
 func TestStructureEntries(t *testing.T) {

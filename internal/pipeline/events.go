@@ -56,22 +56,17 @@ type RetireEvent struct {
 type Hooks struct {
 	// OnRetire fires for every retired instruction.
 	OnRetire func(ev *RetireEvent)
-	// OnFailure fires at most once per plane per retirement, when a
-	// failure-point instruction (load/store/branch) retires carrying the
-	// plane's error bit. class is the retiring instruction's class —
-	// the failure mode (bad load value, corrupted store, control
+	// OnFailureMask fires once per failure-point (load, store, branch)
+	// retirement carrying error bits, with the whole mask; the consumer
+	// (the estimator's lane table) resolves each set bit to the
+	// experiment it belongs to. class is the retiring instruction's class
+	// — the failure mode (bad load value, corrupted store, control
 	// divergence) the injection-lifecycle trace attributes failures to.
-	// Plane layout only: the pipeline derives the structure from the bit
-	// index, which the lane layout redefines.
-	OnFailure func(s Structure, seq, cycle int64, class isa.Class)
-	// OnFailureMask, when set, REPLACES OnFailure and the pipeline's own
-	// per-structure failure counters: a failure-point retirement carrying
-	// any error bits delivers the whole mask once, and the consumer (the
-	// multi-lane estimator's lane table) resolves each set bit to the
-	// experiment it belongs to. This is the retire-time half of the lane
-	// bookkeeping — the pipeline stays layout-agnostic and the lane
-	// engine owns attribution.
 	OnFailureMask func(mask ErrMask, seq, cycle int64, class isa.Class)
+	// OnFailure is the structure-keyed form kept for perfbench's traced
+	// loop: when OnFailureMask is nil, SetHooks delivers each set bit b of
+	// a failure mask, ascending, as OnFailure(Structure(b), ...).
+	OnFailure func(s Structure, seq, cycle int64, class isa.Class)
 	// OnRegWrite fires when a physical register is written (writeback).
 	OnRegWrite func(file RegFileID, phys int16, cycle, writerSeq int64)
 	// OnRegRead fires when a physical register is read (operand read at

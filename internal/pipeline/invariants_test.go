@@ -145,10 +145,10 @@ func TestNarrowMachineAVFEstimation(t *testing.T) {
 	for s := Structure(0); int(s) < NumStructures; s++ {
 		p.Run(500)
 		for e := 0; e < p.StructureEntries(s); e++ {
-			p.Inject(s, e)
+			p.Inject(s, e, s.Bit())
 		}
 		p.Run(500)
-		p.ClearPlane(s)
+		p.ClearPlanes(s.Bit())
 	}
 	_ = fc
 	// No panics and entries matched the narrow geometry.
@@ -172,7 +172,7 @@ func TestUopPoolReuseDoesNotLeakState(t *testing.T) {
 	}
 	p := newTestPipeline(t, insts)
 	fc := newFailureCollector(p)
-	p.Inject(StructReg, int(physOf(p, r1)))
+	p.Inject(StructReg, int(physOf(p, r1)), StructReg.Bit())
 	// The bound covers the cold-start I-fetch stall (~265 cycles).
 	for i := 0; i < 2000 && fc.count[StructReg] == 0; i++ {
 		p.Step()
@@ -181,10 +181,10 @@ func TestUopPoolReuseDoesNotLeakState(t *testing.T) {
 		t.Fatal("seed error never propagated")
 	}
 	before := fc.count[StructReg]
-	p.ClearPlane(StructReg)
+	p.ClearPlanes(StructReg.Bit())
 	runToDrain(t, p)
 	if fc.count[StructReg] != before {
-		t.Errorf("failures kept accruing after ClearPlane: %d -> %d", before, fc.count[StructReg])
+		t.Errorf("failures kept accruing after ClearPlanes: %d -> %d", before, fc.count[StructReg])
 	}
 }
 

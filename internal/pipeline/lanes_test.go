@@ -45,11 +45,11 @@ func TestLanesOfDifferentStructuresOnOneRetirement(t *testing.T) {
 	}
 	p := newTestPipeline(t, insts)
 	mc := newMaskCollector(p)
-	p.InjectLane(StructReg, int(physOf(p, r1)), regLane)
+	p.Inject(StructReg, int(physOf(p, r1)), LaneBit(regLane))
 	// Arm the FXU-unit-0 lane injection every cycle until the ALU op
 	// starts; exactly one arming can land.
 	for i := 0; i < 1000 && p.Retired() < 2; i++ {
-		p.InjectLane(StructFXU, 0, fxuLane)
+		p.Inject(StructFXU, 0, LaneBit(fxuLane))
 		p.Step()
 	}
 	runToDrain(t, p)
@@ -74,9 +74,9 @@ func TestClearPlanesFusedScan(t *testing.T) {
 	}
 	p := newTestPipeline(t, insts)
 	mc := newMaskCollector(p)
-	p.InjectLane(StructReg, int(physOf(p, r1)), 3)
-	p.InjectLane(StructReg, int(physOf(p, r2)), 31)
-	p.InjectLane(StructReg, int(physOf(p, r2)), 63)
+	p.Inject(StructReg, int(physOf(p, r1)), LaneBit(3))
+	p.Inject(StructReg, int(physOf(p, r2)), LaneBit(31))
+	p.Inject(StructReg, int(physOf(p, r2)), LaneBit(63))
 	// Let the divide issue, reading all three corrupted lanes.
 	for i := 0; i < 10; i++ {
 		p.Step()
@@ -121,7 +121,7 @@ func TestLaneRecyclingNoContamination(t *testing.T) {
 	}
 	p := newTestPipeline(t, insts)
 	mc := newMaskCollector(p)
-	p.InjectLane(StructReg, int(physOf(p, r1)), lane)
+	p.Inject(StructReg, int(physOf(p, r1)), LaneBit(lane))
 	// The divide issues and reads the corrupted register.
 	for i := 0; i < 10; i++ {
 		p.Step()
@@ -129,7 +129,7 @@ func TestLaneRecyclingNoContamination(t *testing.T) {
 	// Conclude experiment 1 and recycle the lane in the same cycle:
 	// the new experiment targets r9, which nothing in the trace reads.
 	p.ClearPlanes(LaneBit(lane))
-	p.InjectLane(StructReg, int(physOf(p, r9)), lane)
+	p.Inject(StructReg, int(physOf(p, r9)), LaneBit(lane))
 	runToDrain(t, p)
 	if got := mc.union(); got&LaneBit(lane) != 0 {
 		t.Fatalf("recycled lane %d contaminated by the concluded experiment: mask %b", lane, got)
@@ -147,12 +147,12 @@ func TestPlanePopulationsMatchesPerPlaneScans(t *testing.T) {
 		{PC: 0x1004, Class: isa.ClassStore, Dst: isa.RegNone, Src1: r5, Src2: r1, Addr: 0x100},
 	}
 	p := newTestPipeline(t, insts)
-	p.Inject(StructReg, int(physOf(p, r1)))
-	p.Inject(StructFPReg, 2)
+	p.Inject(StructReg, int(physOf(p, r1)), StructReg.Bit())
+	p.Inject(StructFPReg, 2, StructFPReg.Bit())
 	for i := 0; i < 6; i++ {
 		p.Step()
 	}
-	p.Inject(StructFXU, 0) // armed, counted by both scans until consumed/masked
+	p.Inject(StructFXU, 0, StructFXU.Bit()) // armed, counted by both scans until consumed/masked
 	var mask ErrMask
 	for s := Structure(0); int(s) < NumStructures; s++ {
 		mask |= s.Bit()
@@ -160,7 +160,7 @@ func TestPlanePopulationsMatchesPerPlaneScans(t *testing.T) {
 	var pops [MaxLanes]int
 	p.PlanePopulations(mask, &pops)
 	for s := Structure(0); int(s) < NumStructures; s++ {
-		if want := p.PlanePopulation(s); pops[s] != want {
+		if want := planePopulation(p, s); pops[s] != want {
 			t.Errorf("%v: fused population %d, per-plane scan %d", s, pops[s], want)
 		}
 	}

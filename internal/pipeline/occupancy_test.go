@@ -92,12 +92,75 @@ func TestOccupanciesGroundTruth(t *testing.T) {
 	}
 }
 
+// planePopulation is the per-plane population scan the pipeline shipped
+// before PlanePopulations replaced it, kept as the test oracle: it counts
+// the live bits of plane s everywhere they can reside — physical
+// registers, in-flight ROB entries, TLB entries, the fetch path, the
+// instruction buffer, and armed logic injections.
+func planePopulation(p *Pipeline, s Structure) int {
+	bit := s.Bit()
+	n := 0
+	for _, m := range p.intRF.err {
+		if m&bit != 0 {
+			n++
+		}
+	}
+	for _, m := range p.fpRF.err {
+		if m&bit != 0 {
+			n++
+		}
+	}
+	robA, robB := p.rob.spans()
+	for _, u := range robA {
+		if u.errMask&bit != 0 {
+			n++
+		}
+	}
+	for _, u := range robB {
+		if u.errMask&bit != 0 {
+			n++
+		}
+	}
+	for _, m := range p.dtlbErr {
+		if m&bit != 0 {
+			n++
+		}
+	}
+	for _, m := range p.itlbErr {
+		if m&bit != 0 {
+			n++
+		}
+	}
+	if p.curLineErr&bit != 0 {
+		n++
+	}
+	ibA, ibB := p.instBuf.spans()
+	for _, f := range ibA {
+		if f.errMask&bit != 0 {
+			n++
+		}
+	}
+	for _, f := range ibB {
+		if f.errMask&bit != 0 {
+			n++
+		}
+	}
+	if p.logicArmed {
+		for i := 0; i < p.armCount; i++ {
+			if p.arms[i].bit&bit != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // TestPlanePopulationsMatchesPerPlaneFuzz cross-checks the fused
-// multi-lane scan against the per-plane scan under randomized occupancy.
-// Lane bits 0..7 share the bit namespace with the structure planes
-// (LaneBit(i) == Structure(i).Bit()), so injecting via InjectLane into
-// lanes 0..7 and scanning with PlanePopulations must agree bit-for-bit
-// with eight independent PlanePopulation scans — across random traces,
+// multi-lane scan against the per-plane oracle under randomized
+// occupancy. Lane bits 0..7 share the bit namespace with the structure
+// planes (LaneBit(i) == Structure(i).Bit()), so injecting into lanes
+// 0..7 and scanning with PlanePopulations must agree bit-for-bit with
+// eight independent planePopulation scans — across random traces,
 // random injection targets, random step counts, and random plane clears.
 func TestPlanePopulationsMatchesPerPlaneFuzz(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234, 99999} {
@@ -122,7 +185,7 @@ func TestPlanePopulationsMatchesPerPlaneFuzz(t *testing.T) {
 				if mask&LaneBit(i) == 0 {
 					continue
 				}
-				if want := p.PlanePopulation(Structure(i)); fused[i] != want {
+				if want := planePopulation(p, Structure(i)); fused[i] != want {
 					t.Fatalf("seed %d round %d: lane %d fused pop %d != per-plane %d (mask %#x)",
 						seed, round, i, fused[i], want, mask)
 				}
@@ -136,7 +199,7 @@ func TestPlanePopulationsMatchesPerPlaneFuzz(t *testing.T) {
 			for n := rng.Intn(6); n > 0; n-- {
 				lane := rng.Intn(allLanes)
 				s := Structure(rng.Intn(NumStructures))
-				p.InjectLane(s, rng.Intn(p.StructureEntries(s)), lane)
+				p.Inject(s, rng.Intn(p.StructureEntries(s)), LaneBit(lane))
 			}
 			check(round)
 			if rng.Intn(4) == 0 {

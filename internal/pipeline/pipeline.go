@@ -109,8 +109,8 @@ func (r *ring[T]) pop() T {
 func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)&r.mask] }
 
 // spans returns the live contents, oldest first, as up to two linear
-// slices — the allocation-free way to scan the whole ring (ClearPlane,
-// PlanePopulation) without per-element index arithmetic.
+// slices — the allocation-free way to scan the whole ring (ClearPlanes,
+// PlanePopulations) without per-element index arithmetic.
 func (r *ring[T]) spans() (a, b []T) {
 	end := r.head + r.size
 	if end <= len(r.buf) {
@@ -223,7 +223,8 @@ type Pipeline struct {
 	dtlbErr    []ErrMask
 	itlbErr    []ErrMask
 
-	hooks Hooks
+	hooks      Hooks
+	laneLayout bool // see SetLaneLayout
 
 	// Flight recorder (see flightevents.go). recOn gates every emission
 	// site on one branch; nil/false — the default — keeps the hot path
@@ -284,7 +285,22 @@ func New(cfg *config.Config, src trace.Source) (*Pipeline, error) {
 }
 
 // SetHooks installs observation callbacks. Call before stepping.
-func (p *Pipeline) SetHooks(h Hooks) { p.hooks = h }
+func (p *Pipeline) SetHooks(h Hooks) {
+	if on := h.OnFailure; on != nil && h.OnFailureMask == nil {
+		h.OnFailureMask = func(mask ErrMask, seq, cycle int64, class isa.Class) {
+			for m := uint64(mask); m != 0; m &= m - 1 {
+				on(Structure(bits.TrailingZeros64(m)), seq, cycle, class)
+			}
+		}
+	}
+	p.hooks = h
+}
+
+// SetLaneLayout declares whether error bits are experiment lanes (the
+// estimator's Lanes > 1) rather than structure planes. Stats.Failures
+// counts per plane, so under the lane layout it is not kept and reads
+// zero.
+func (p *Pipeline) SetLaneLayout(lanes bool) { p.laneLayout = lanes }
 
 // Cycle returns the number of cycles simulated so far.
 func (p *Pipeline) Cycle() int64 { return p.cycle }
@@ -396,23 +412,13 @@ func (p *Pipeline) retire() {
 
 		if u.errMask != 0 {
 			if u.inst.Class.IsFailurePoint() {
-				if p.hooks.OnFailureMask != nil {
-					// Lane layout: bit indexes are experiment lanes, not
-					// structures — hand the whole mask to the lane-aware
-					// consumer, which owns the lane→structure table.
-					// Per-structure counters are skipped; the consumer
-					// attributes failures itself.
-					p.hooks.OnFailureMask(u.errMask, u.seq, p.cycle, u.inst.Class)
-				} else {
-					// Plane layout: walk only the set bits, ascending
-					// (same order as the old per-structure scan).
-					for m := uint64(u.errMask); m != 0; m &= m - 1 {
-						s := Structure(bits.TrailingZeros64(m))
-						p.failures[s]++
-						if p.hooks.OnFailure != nil {
-							p.hooks.OnFailure(s, u.seq, p.cycle, u.inst.Class)
-						}
+				if !p.laneLayout {
+					for m := uint64(u.errMask) & (1<<NumStructures - 1); m != 0; m &= m - 1 {
+						p.failures[bits.TrailingZeros64(m)]++
 					}
+				}
+				if p.hooks.OnFailureMask != nil {
+					p.hooks.OnFailureMask(u.errMask, u.seq, p.cycle, u.inst.Class)
 				}
 				if p.recOn {
 					ev := p.baseEv(EvRetireFail, u.errMask)
@@ -602,7 +608,7 @@ func (p *Pipeline) start(u *uop, unit int) {
 
 	// A pending single-cycle logic injection corrupts the op starting on
 	// the chosen unit this cycle. logicArmed is false except during the
-	// one cycle following an Inject/InjectLane on a logic structure.
+	// one cycle following an Inject on a logic structure.
 	// Several lanes may have armed the same unit; every match lands.
 	if p.logicArmed {
 		if ls := logicStructure(u.fu); int(ls) < NumStructures {
@@ -907,7 +913,7 @@ type Stats struct {
 	// MeanIQOccupancy is the average combined issue-queue population.
 	MeanIQOccupancy float64
 	// Failures counts failure-point retirements carrying each plane's
-	// error bit.
+	// error bit (zero under the lane layout, see SetLaneLayout).
 	Failures [NumStructures]int64
 }
 

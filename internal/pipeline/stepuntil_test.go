@@ -127,14 +127,14 @@ func TestStepUntilMatchesStep(t *testing.T) {
 				case 0:
 					s := Structure(rng.Intn(NumStructures))
 					idx := rng.Intn(plain.StructureEntries(s))
-					plain.Inject(s, idx)
-					fast.Inject(s, idx)
+					plain.Inject(s, idx, s.Bit())
+					fast.Inject(s, idx, s.Bit())
 				case 1:
 					// A logic injection, armed for the next cycle.
 					s := []Structure{StructFXU, StructFPU, StructLSU}[rng.Intn(3)]
 					idx := rng.Intn(plain.StructureEntries(s))
-					plain.Inject(s, idx)
-					fast.Inject(s, idx)
+					plain.Inject(s, idx, s.Bit())
+					fast.Inject(s, idx, s.Bit())
 					armed = true
 				}
 			}

@@ -34,7 +34,7 @@ func TestDTLBInjectionHitCausesFailure(t *testing.T) {
 		t.Fatal("nothing retired in warmup")
 	}
 	for e := 0; e < p.StructureEntries(StructDTLB); e++ {
-		p.Inject(StructDTLB, e)
+		p.Inject(StructDTLB, e, StructDTLB.Bit())
 	}
 	runToDrain(t, p)
 	if fc.count[StructDTLB] == 0 {
@@ -48,7 +48,7 @@ func TestDTLBRefillClearsInjection(t *testing.T) {
 	p := newTestPipeline(t, loadsTo(200, 0x40000))
 	fc := newFailureCollector(p)
 	for e := 0; e < p.StructureEntries(StructDTLB); e++ {
-		p.Inject(StructDTLB, e)
+		p.Inject(StructDTLB, e, StructDTLB.Bit())
 	}
 	runToDrain(t, p)
 	if fc.count[StructDTLB] != 0 {
@@ -78,7 +78,7 @@ func TestITLBInjectionCorruptsFetchedInstructions(t *testing.T) {
 		p.Step()
 	}
 	for e := 0; e < p.StructureEntries(StructITLB); e++ {
-		p.Inject(StructITLB, e)
+		p.Inject(StructITLB, e, StructITLB.Bit())
 	}
 	runToDrain(t, p)
 	if fc.count[StructITLB] == 0 {
@@ -93,12 +93,12 @@ func TestTLBClearPlane(t *testing.T) {
 		p.Step()
 	}
 	for e := 0; e < p.StructureEntries(StructDTLB); e++ {
-		p.Inject(StructDTLB, e)
+		p.Inject(StructDTLB, e, StructDTLB.Bit())
 	}
-	p.ClearPlane(StructDTLB)
+	p.ClearPlanes(StructDTLB.Bit())
 	runToDrain(t, p)
 	if fc.count[StructDTLB] != 0 {
-		t.Errorf("ClearPlane left %d dTLB failures", fc.count[StructDTLB])
+		t.Errorf("ClearPlanes left %d dTLB failures", fc.count[StructDTLB])
 	}
 }
 

@@ -19,21 +19,19 @@ import (
 // (OR on read, overwrite on write, AND-NOT on clear), so all 64 lanes
 // propagate through the same dataflow at once without interacting.
 //
-// Two layouts share the type:
+// The estimator's lane table (internal/core) uses one of two layouts:
 //
-//   - Plane layout (the classic estimator): bit s is monitored structure
-//     s's plane — one live emulated error per structure at a time, the
-//     hardware the paper describes. The simulator carries all planes at
-//     once so a single run estimates every structure's AVF.
-//   - Lane layout (the multi-lane engine): bit i belongs to whichever
-//     injection experiment the lane allocator (internal/core) currently
-//     maps to lane i. Up to 64 independent experiments ride the same
-//     cycle loop; the lane table, not the bit index, says which
-//     structure each bit was injected into.
+//   - Plane layout (Lanes <= 1, classic and Multiplex): bit s is
+//     monitored structure s's plane — one live emulated error per
+//     structure at a time, the hardware the paper describes.
+//   - Lane layout (Lanes > 1): bit i is lane i's experiment. Up to 64
+//     independent experiments ride the same cycle loop; the lane table,
+//     not the bit index, says which structure each bit was injected into.
 //
-// The pipeline itself is layout-agnostic everywhere except legacy
-// convenience entry points (Inject, ClearPlane, the per-structure
-// failure attribution in retire), which assume the plane layout.
+// The pipeline is layout-agnostic — Inject, ClearPlanes and
+// PlanePopulations take the bits explicitly, and the failure hook gets
+// the whole mask — except for Stats.Failures, a per-plane counter kept
+// only under the plane layout (see SetLaneLayout).
 type ErrMask uint64
 
 // MaxLanes is the number of independent error-bit lanes an ErrMask
@@ -86,17 +84,6 @@ func (s Structure) String() string {
 
 // Bit returns the error-bit plane for s.
 func (s Structure) Bit() ErrMask { return 1 << s }
-
-// IsStorage reports whether s is a storage structure (per-entry
-// injection) rather than a logic structure (per-unit, single-cycle
-// injection).
-func (s Structure) IsStorage() bool {
-	switch s {
-	case StructIQ, StructReg, StructFPReg, StructDTLB, StructITLB:
-		return true
-	}
-	return false
-}
 
 // PaperStructures are the four structures evaluated in the paper, in its
 // presentation order (Figure 3a–d).

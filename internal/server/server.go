@@ -123,12 +123,6 @@ func (js *JobSpec) runConfig() (experiment.RunConfig, error) {
 		Multiplex:      js.Multiplex,
 		Lanes:          js.Lanes,
 	}
-	if js.Lanes < 0 || js.Lanes > pipeline.MaxLanes {
-		return rc, fmt.Errorf("lanes %d out of range [0, %d]", js.Lanes, pipeline.MaxLanes)
-	}
-	if js.Lanes > 1 && js.Multiplex {
-		return rc, errors.New("lanes > 1 is incompatible with multiplex")
-	}
 	if _, err := workload.ByName(js.Benchmark); err != nil {
 		return rc, err
 	}
@@ -139,16 +133,7 @@ func (js *JobSpec) runConfig() (experiment.RunConfig, error) {
 		}
 		rc.Structures = append(rc.Structures, s)
 	}
-	if js.Lanes > 1 {
-		nStructs := len(rc.Structures)
-		if nStructs == 0 {
-			nStructs = len(pipeline.PaperStructures)
-		}
-		if js.Lanes < nStructs {
-			return rc, fmt.Errorf("lanes %d < %d monitored structures", js.Lanes, nStructs)
-		}
-	}
-	return rc, nil
+	return rc, core.ValidateLanes(js.Lanes, js.Multiplex, rc.Structures)
 }
 
 // IntervalPoint is one streamed per-interval estimate.

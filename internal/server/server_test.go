@@ -299,6 +299,33 @@ func TestBadSpecsRejected(t *testing.T) {
 	}
 }
 
+// TestLaneSpecValidation pins which lane settings a submission may carry:
+// the rules live in core.ValidateLanes, and every spec it refuses is a
+// 400 at submission rather than a failed job.
+func TestLaneSpecValidation(t *testing.T) {
+	ts, _, _ := newTestServer(t, 1, 8)
+	const job = `"benchmark":"bzip2","scale":0.02,"m":400,"n":50,"intervals":1`
+	for _, tc := range []struct {
+		name string
+		spec string
+		want int
+	}{
+		{"negative", `"lanes":-1`, http.StatusBadRequest},
+		{"above max", `"lanes":65`, http.StatusBadRequest},
+		{"with multiplex", `"lanes":8,"multiplex":true`, http.StatusBadRequest},
+		{"fewer than default structures", `"lanes":2`, http.StatusBadRequest},
+		{"fewer than listed structures", `"lanes":2,"structures":["iq","reg","fpu"]`, http.StatusBadRequest},
+		{"one per default structure", `"lanes":4`, http.StatusAccepted},
+		{"one per listed structure", `"lanes":2,"structures":["iq","fxu"]`, http.StatusAccepted},
+		{"max", `"lanes":64`, http.StatusAccepted},
+		{"classic", `"lanes":1,"multiplex":true`, http.StatusAccepted},
+	} {
+		if _, code := postJob(t, ts, "{"+job+","+tc.spec+"}"); code != tc.want {
+			t.Errorf("%s {%s}: code=%d, want %d", tc.name, tc.spec, code, tc.want)
+		}
+	}
+}
+
 // TestHealthzStatsList exercises the operational endpoints while ≥ 2
 // simulations run concurrently through the scheduler.
 func TestHealthzStatsList(t *testing.T) {

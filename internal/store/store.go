@@ -147,6 +147,10 @@ type Store struct {
 	cache    map[string]json.RawMessage
 	cacheOrd []string // cache keys in first-stored order
 	closed   bool
+	// failed is the first write or fsync error; once set every append
+	// returns it, so nothing is acknowledged after a frame that may be
+	// missing or torn.
+	failed error
 
 	// Metrics (nil without Options.Metrics).
 	frames, bytesWritten, fsyncs   *obs.Counter
@@ -382,6 +386,9 @@ func (s *Store) append(rec *Record) error {
 	if s.closed {
 		return ErrClosed
 	}
+	if s.failed != nil {
+		return s.failed
+	}
 	s.seq++
 	rec.Seq = s.seq
 	// Re-marshal now that Seq is assigned (cheap; appends are per
@@ -395,11 +402,13 @@ func (s *Store) append(rec *Record) error {
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[frameHeader:], payload)
 	if _, err := s.f.Write(frame); err != nil {
-		return fmt.Errorf("store: append: %w", err)
+		s.failed = fmt.Errorf("store: append: %w", err)
+		return s.failed
 	}
 	if !s.opt.NoSync {
 		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("store: fsync: %w", err)
+			s.failed = fmt.Errorf("store: fsync: %w", err)
+			return s.failed
 		}
 		if s.fsyncs != nil {
 			s.fsyncs.Inc()

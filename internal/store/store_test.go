@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -244,6 +245,49 @@ func TestClosedStoreRejects(t *testing.T) {
 	}
 	if err := s.Compact(); err != ErrClosed {
 		t.Fatalf("compact on closed store: %v, want ErrClosed", err)
+	}
+}
+
+// TestFailedWritePoisonsStore swaps the WAL for a read-only handle so the
+// next write fails, then swaps the writable one back: that append and
+// every later one still return the error, and a reopened store replays
+// exactly the frames acknowledged before it.
+func TestFailedWritePoisonsStore(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	if err := s.AppendSpec("job-1", testSpec{"mesa", 50}, time.Unix(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendState("job-1", "running", ""); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.AppendInterval("job-1", testPoint{"iq", i, 0.25}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ro, err := os.Open(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal := s.f
+	s.f = ro
+	first := s.AppendInterval("job-1", testPoint{"iq", 2, 0.25})
+	if first == nil {
+		t.Fatal("append through a read-only WAL succeeded")
+	}
+	s.f = wal
+	for i := 0; i < 3; i++ {
+		if err := s.AppendState("job-1", "done", ""); !errors.Is(err, first) {
+			t.Fatalf("append %d after the failure: %v, want %v", i, err, first)
+		}
+	}
+	ro.Close()
+	s.Close()
+
+	jobs := openT(t, dir, Options{}).Jobs()
+	if len(jobs) != 1 || jobs[0].State != "running" || len(jobs[0].Intervals) != 2 {
+		t.Fatalf("replayed %+v, want job-1 running with 2 intervals", jobs)
 	}
 }
 
