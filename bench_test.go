@@ -184,10 +184,19 @@ func BenchmarkParallelGrid(b *testing.B) {
 	}
 }
 
+// tracerObserver attaches an injection tracer to the estimator, the way
+// avfd's per-job observer does.
+type tracerObserver struct {
+	core.NopObserver
+	tr *obs.JobTracer
+}
+
+func (o tracerObserver) RecordInjection(rec obs.Injection) { o.tr.RecordInjection(rec) }
+
 // obsBenchRun drives the Table 1 simulator plus estimator for a fixed
-// cycle count, with or without an observability sink attached, and
-// returns the estimator so callers can keep it live.
-func obsBenchRun(b *testing.B, cycles int, sink obs.Sink) *core.Estimator {
+// cycle count, with or without an observer attached, and returns the
+// estimator so callers can keep it live.
+func obsBenchRun(b *testing.B, cycles int, o core.Observer) *core.Estimator {
 	b.Helper()
 	prof, err := workload.ByName("mesa")
 	if err != nil {
@@ -198,7 +207,7 @@ func obsBenchRun(b *testing.B, cycles int, sink obs.Sink) *core.Estimator {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := core.NewEstimator(p, core.Options{M: 1000, N: 100, Sink: sink})
+	e, err := core.NewEstimator(p, core.Options{M: 1000, N: 100, Observer: o})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -211,7 +220,7 @@ func obsBenchRun(b *testing.B, cycles int, sink obs.Sink) *core.Estimator {
 }
 
 // BenchmarkEstimatorObs compares the estimator hot loop with
-// observability disabled (nil Sink — the default) against the full avfd
+// observability disabled (nil Observer — the default) against the full avfd
 // production path (JobTracer forwarding to per-structure Prometheus
 // counters). The "off" case is the one that must not regress vs a tree
 // without internal/obs; see EXPERIMENTS.md for recorded numbers.
@@ -222,7 +231,7 @@ func BenchmarkEstimatorObs(b *testing.B) {
 	b.Run("on", func(b *testing.B) {
 		reg := obs.NewRegistry()
 		tr := obs.NewJobTracer(obs.NewInjectionCounters(reg), 0)
-		obsBenchRun(b, b.N, tr)
+		obsBenchRun(b, b.N, tracerObserver{tr: tr})
 	})
 }
 
@@ -250,7 +259,7 @@ func TestObsOverheadUnderFivePercent(t *testing.T) {
 		p *pipeline.Pipeline
 		e *core.Estimator
 	}
-	newSim := func(sink obs.Sink) sim {
+	newSim := func(o core.Observer) sim {
 		prof, err := workload.ByName("mesa")
 		if err != nil {
 			t.Fatal(err)
@@ -260,7 +269,7 @@ func TestObsOverheadUnderFivePercent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := core.NewEstimator(p, core.Options{M: m, N: 100, Sink: sink})
+		e, err := core.NewEstimator(p, core.Options{M: m, N: 100, Observer: o})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +285,7 @@ func TestObsOverheadUnderFivePercent(t *testing.T) {
 		return time.Since(start)
 	}
 	off := newSim(nil)
-	on := newSim(obs.NewJobTracer(obs.NewInjectionCounters(obs.NewRegistry()), 0))
+	on := newSim(tracerObserver{tr: obs.NewJobTracer(obs.NewInjectionCounters(obs.NewRegistry()), 0)})
 	ratios := make([]float64, pairs)
 	for i := range ratios {
 		var dOff, dOn time.Duration

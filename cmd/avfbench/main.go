@@ -16,7 +16,7 @@
 // estimate into a bounded ring, the write avfd makes when -spans is on:
 // estimator+span and fused+span. With -microtel two more measure the
 // microarchitectural telemetry collector — occupancy residency sampling,
-// coverage-map sink writes, and Wilson intervals, the cost of a job's
+// coverage-map writes, and Wilson intervals, the cost of a job's
 // "microtel": true — estimator+microtel and fused+microtel. With -sched
 // two scheduler-dispatch
 // scenarios compare single-class submission against a four-SLO-class
@@ -321,6 +321,17 @@ func main() {
 	}
 }
 
+// intervalObserver hands each completed estimate and its wall window to
+// fn: the per-interval writes avfd makes.
+type intervalObserver struct {
+	core.NopObserver
+	fn func(e core.Estimate, wallStart, wallEnd time.Time)
+}
+
+func (o intervalObserver) Interval(e core.Estimate, wallStart, wallEnd time.Time) {
+	o.fn(e, wallStart, wallEnd)
+}
+
 // runScenario builds a fresh pipeline for def, warms it up, and measures
 // the steady-state cycle loop.
 func runScenario(def scenarioDef, bench string, seed uint64, warmup, cycles int64) (*perfstat.Scenario, error) {
@@ -355,7 +366,7 @@ func runScenario(def scenarioDef, bench string, seed uint64, warmup, cycles int6
 			if err := st.AppendSpec("bench", map[string]any{"benchmark": bench}, time.Now()); err != nil {
 				return nil, err
 			}
-			opt.OnInterval = func(e core.Estimate) {
+			opt.Observer = intervalObserver{fn: func(e core.Estimate, _, _ time.Time) {
 				pt := struct {
 					Structure  string  `json:"structure"`
 					Interval   int     `json:"interval"`
@@ -366,7 +377,7 @@ func runScenario(def scenarioDef, bench string, seed uint64, warmup, cycles int6
 				if err := st.AppendInterval("bench", &pt); err != nil {
 					panic(fmt.Sprintf("avfbench: wal append: %v", err))
 				}
-			}
+			}}
 		}
 		if def.span {
 			// The span write avfd makes per completed interval estimate:
@@ -376,31 +387,21 @@ func runScenario(def scenarioDef, bench string, seed uint64, warmup, cycles int6
 			trace := span.MintTraceID()
 			root := rec.StartAt(trace, span.SpanID{}, "job", time.Now())
 			defer root.End("ok")
-			opt.OnIntervalSpan = func(e core.Estimate, wallStart, wallEnd time.Time) {
+			opt.Observer = intervalObserver{fn: func(e core.Estimate, wallStart, wallEnd time.Time) {
 				a := rec.StartAt(trace, root.ID(), "interval", wallStart)
 				a.SetJob("bench", "standard")
 				a.SetAttr("structure", e.Structure.String())
 				a.SetAttr("interval", strconv.Itoa(e.Interval))
 				a.SetAttr("avf", strconv.FormatFloat(e.AVF, 'g', 6, 64))
 				a.EndAt("ok", wallEnd)
-			}
+			}}
 		}
 		if def.microtel {
 			// The telemetry writes avfd makes per "microtel": true job:
-			// coverage-map sink on every concluded injection, occupancy
+			// coverage-map write on every concluded injection, occupancy
 			// sample at every injection boundary, Wilson interval per
 			// completed estimate.
-			mt := microtel.New(microtel.Config{})
-			mt.Bind(p, pipeline.PaperStructures, def.lanes)
-			opt.Sink = mt
-			opt.OnConcludeScan = mt.SampleOccupancy
-			userInterval := opt.OnInterval
-			opt.OnInterval = func(e core.Estimate) {
-				mt.RecordEstimate(e.Structure, e.Interval, e.Failures, e.Injections)
-				if userInterval != nil {
-					userInterval(e)
-				}
-			}
+			opt.Observer = microtel.New(microtel.Config{})
 		}
 		est, err = core.NewEstimator(p, opt)
 		if err != nil {

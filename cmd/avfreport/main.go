@@ -191,7 +191,7 @@ func coverageDump(spec experiment.ScaleSpec, benchmark string, seed uint64, path
 		Scale:     spec.Scale,
 		Seed:      seed,
 		M:         spec.M, N: spec.N, Intervals: spec.Intervals,
-		Microtel: mt,
+		Observer: mt,
 	})
 	if err != nil {
 		return err

@@ -6,7 +6,7 @@ import (
 	"avfsim/internal/pipeline"
 )
 
-// TestOnConcludeScanFiresAtBoundaries: the telemetry hook fires exactly
+// TestOnConcludeScanFiresAtBoundaries: the observer's Boundary fires exactly
 // once per injection boundary in the classic engine — never between
 // boundaries — and always with the pipeline's current cycle.
 func TestOnConcludeScanFiresAtBoundaries(t *testing.T) {
@@ -14,7 +14,7 @@ func TestOnConcludeScanFiresAtBoundaries(t *testing.T) {
 	p := newPipe(t, &loopTrace{})
 	var cycles []int64
 	e, err := NewEstimator(p, Options{M: M, N: 50,
-		OnConcludeScan: func(c int64) { cycles = append(cycles, c) }})
+		Observer: funcObserver{boundary: func(c int64) { cycles = append(cycles, c) }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestOnConcludeScanFiresAtBoundaries(t *testing.T) {
 	}
 }
 
-// TestOnConcludeScanFiresLaneMode: in lane mode the hook fires at every
+// TestOnConcludeScanFiresLaneMode: in lane mode Boundary fires at every
 // lane event boundary (where the fused scans run), once per boundary.
 func TestOnConcludeScanFiresLaneMode(t *testing.T) {
 	const M = 50
@@ -49,7 +49,7 @@ func TestOnConcludeScanFiresLaneMode(t *testing.T) {
 	var cycles []int64
 	e, err := NewEstimator(p, Options{M: M, N: 100, Lanes: 16,
 		Structures: []pipeline.Structure{pipeline.StructReg, pipeline.StructIQ},
-		OnConcludeScan: func(c int64) {
+		Observer: funcObserver{boundary: func(c int64) {
 			if n := len(cycles); n > 0 && cycles[n-1] == c {
 				t.Fatalf("hook fired twice at cycle %d", c)
 			}
@@ -57,7 +57,7 @@ func TestOnConcludeScanFiresLaneMode(t *testing.T) {
 				t.Fatalf("hook cycle %d != pipeline cycle %d", c, p.Cycle())
 			}
 			cycles = append(cycles, c)
-		}})
+		}}})
 	if err != nil {
 		t.Fatal(err)
 	}

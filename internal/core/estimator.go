@@ -46,46 +46,10 @@ type Options struct {
 	Seed uint64
 	// RecordLatency collects injection-to-failure latencies (Figure 2).
 	RecordLatency bool
-	// OnInterval, when non-nil, is invoked synchronously (from Tick)
-	// each time a per-interval estimate completes for any monitored
-	// structure, with Estimate.Structure identifying which. It lets a
-	// consumer stream estimates as they are produced instead of
-	// buffering the whole series; the batch accessors (Estimates,
-	// AVFSeries) are unaffected.
-	OnInterval func(Estimate)
-	// OnIntervalSpan, when non-nil, receives the wall-clock start and
-	// end instants of each completed estimation interval alongside the
-	// estimate — the hook behind per-interval tracing spans. It fires
-	// under the same StartInterval gating as OnInterval. When nil (the
-	// default) the hot path pays only nil checks and never reads the
-	// clock, preserving the zero-allocation guarantee.
-	OnIntervalSpan func(est Estimate, wallStart, wallEnd time.Time)
-	// StartInterval suppresses OnInterval for estimates whose Interval is
-	// below it. It is the deterministic fast-forward behind checkpoint
-	// resume: the simulation is a pure function of (spec, seed), so a
-	// restarted run re-executes from cycle 0 — re-deriving the RNG stream,
-	// trace position, and pipeline state exactly — and this field keeps
-	// already-delivered intervals from being emitted twice. Intervals
-	// k..N of a resumed run are byte-identical to an uninterrupted run's.
-	// The batch accessors still hold the full series.
-	StartInterval int
-	// Sink, when non-nil, receives one obs.Injection lifecycle record
-	// per concluded injection (structure, entry, inject cycle, outcome,
-	// propagation latency, failure instruction class, live error-bit
-	// population). When nil — the default — the estimator records
-	// nothing and the hot path pays only nil checks; see
-	// TestTickAllocatesNothingObsDisabled.
-	Sink obs.Sink
-	// OnConcludeScan, when non-nil, is invoked once per injection
-	// boundary — the cycles where the estimator concludes expired
-	// experiments and injects replacements, i.e. exactly where it
-	// already performs its fused full-machine scans (ClearPlanes /
-	// PlanePopulations). Microarchitectural telemetry
-	// (internal/microtel) hangs occupancy sampling here so enabling it
-	// adds no per-cycle work: between boundaries the hot path is
-	// untouched, and a nil hook (the default) costs one nil check per
-	// boundary, preserving the zero-allocation guarantee.
-	OnConcludeScan func(cycle int64)
+	// Observer, when non-nil, watches the run: the estimator's one hook
+	// (see Observer). When nil (the default) the hot path pays one nil
+	// check per boundary and never reads the clock.
+	Observer Observer
 	// Multiplex emulates the true hardware cost model: a single error
 	// bit per value means only ONE emulated error may be live in the
 	// whole machine, so injections rotate across the monitored
@@ -107,6 +71,36 @@ type Options struct {
 	Lanes int
 }
 
+// Observer watches a run of Algorithm 1. The estimator calls it
+// synchronously, from NewEstimator and Tick, so implementations must be
+// cheap and must not block.
+type Observer interface {
+	// Bind is called once, by NewEstimator after defaults resolve, with
+	// the pipeline, the monitored structures and Options.Lanes.
+	Bind(p *pipeline.Pipeline, structures []pipeline.Structure, lanes int)
+	// RecordInjection receives the lifecycle record of each concluded
+	// injection.
+	RecordInjection(rec obs.Injection)
+	// Boundary is called at each injection boundary, after its
+	// conclusions and reinjections: the cycles where the estimator
+	// already runs its fused full-machine scans.
+	Boundary(cycle int64)
+	// Interval receives every completed per-interval estimate, for any
+	// monitored structure, with the wall-clock start and end of its
+	// interval. The batch accessors (Estimates, AVFSeries) hold the same
+	// series.
+	Interval(est Estimate, wallStart, wallEnd time.Time)
+}
+
+// NopObserver ignores every event. Embed it in an observer that needs
+// only some of them.
+type NopObserver struct{}
+
+func (NopObserver) Bind(*pipeline.Pipeline, []pipeline.Structure, int) {}
+func (NopObserver) RecordInjection(obs.Injection)                      {}
+func (NopObserver) Boundary(int64)                                     {}
+func (NopObserver) Interval(Estimate, time.Time, time.Time)            {}
+
 // validate applies defaults and checks ranges.
 func (o *Options) validate() error {
 	if o.M <= 0 {
@@ -114,9 +108,6 @@ func (o *Options) validate() error {
 	}
 	if o.N <= 0 {
 		return errors.New("core: Options.N must be positive")
-	}
-	if o.StartInterval < 0 {
-		return errors.New("core: Options.StartInterval must be non-negative")
 	}
 	if len(o.Structures) == 0 {
 		o.Structures = append([]pipeline.Structure(nil), pipeline.PaperStructures...)
@@ -193,7 +184,7 @@ type structState struct {
 	intervalIdx int
 	startCycle  int64
 	// wallStart is the wall-clock start of the current interval,
-	// maintained only when OnIntervalSpan is set.
+	// maintained only when an Observer is attached.
 	wallStart time.Time
 
 	estimates []Estimate
@@ -240,7 +231,7 @@ func NewEstimator(p *pipeline.Pipeline, opt Options) (*Estimator, error) {
 	e := &Estimator{p: p, opt: opt, rngState: opt.Seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
 	for _, s := range opt.Structures {
 		st := &structState{s: s, entries: p.StructureEntries(s), startCycle: p.Cycle()}
-		if opt.OnIntervalSpan != nil {
+		if opt.Observer != nil {
 			st.wallStart = time.Now()
 		}
 		e.states[s] = st
@@ -258,6 +249,9 @@ func NewEstimator(p *pipeline.Pipeline, opt Options) (*Estimator, error) {
 	}
 	p.SetLaneLayout(e.perLane)
 	e.nextEvent = p.Cycle() // inject immediately on the first Tick
+	if opt.Observer != nil {
+		opt.Observer.Bind(p, opt.Structures, opt.Lanes)
+	}
 	return e, nil
 }
 

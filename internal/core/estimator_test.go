@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"avfsim/internal/config"
 	"avfsim/internal/isa"
@@ -336,7 +337,7 @@ func TestEstimateCycleAccounting(t *testing.T) {
 	}
 }
 
-// TestOnIntervalStreams verifies the streaming hook fires once per
+// TestOnIntervalStreams verifies the observer's Interval fires once per
 // completed estimate, in order, carrying the same values the batch
 // accessors later report.
 func TestOnIntervalStreams(t *testing.T) {
@@ -345,7 +346,9 @@ func TestOnIntervalStreams(t *testing.T) {
 	e, err := NewEstimator(p, Options{
 		M: 10, N: 5,
 		Structures: []pipeline.Structure{pipeline.StructIQ, pipeline.StructReg},
-		OnInterval: func(est Estimate) { streamed = append(streamed, est) },
+		Observer: funcObserver{interval: func(est Estimate, _, _ time.Time) {
+			streamed = append(streamed, est)
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +361,7 @@ func TestOnIntervalStreams(t *testing.T) {
 		batch = append(batch, e.Estimates(s)...)
 	}
 	if len(streamed) == 0 {
-		t.Fatal("OnInterval never fired")
+		t.Fatal("Interval never fired")
 	}
 	if len(streamed) != len(batch) {
 		t.Fatalf("streamed %d estimates, batch has %d", len(streamed), len(batch))

@@ -46,7 +46,7 @@ type laneState struct {
 	nextAt int64
 
 	// Failure details for the lifecycle record (valid while failed,
-	// written only when a Sink is attached).
+	// written only when an Observer is attached).
 	failCycle int64
 	failSeq   int64
 	failClass isa.Class
@@ -72,7 +72,7 @@ func (e *Estimator) HandleFailureMask(mask pipeline.ErrMask, seq, cycle int64, c
 		if e.opt.RecordLatency {
 			ln.st.latencies.Add(cycle - ln.injectedAt)
 		}
-		if e.opt.Sink != nil {
+		if e.opt.Observer != nil {
 			ln.failCycle = cycle
 			ln.failSeq = seq
 			ln.failClass = class
@@ -82,7 +82,7 @@ func (e *Estimator) HandleFailureMask(mask pipeline.ErrMask, seq, cycle int64, c
 
 // Tick advances Algorithm 1; call it after every pipeline.Step. Off a
 // boundary it costs one comparison. At a boundary it concludes the due
-// lanes — one fused population scan (only for a Sink or a flight
+// lanes — one fused population scan (only for an Observer or a flight
 // recorder), one conclude and one clear delimiter per lane, one fused
 // clear — and then reinjects.
 func (e *Estimator) Tick() {
@@ -97,7 +97,7 @@ func (e *Estimator) Tick() {
 		}
 	}
 	recOn := e.p.RecorderAttached()
-	if due != 0 && (e.opt.Sink != nil || recOn) {
+	if due != 0 && (e.opt.Observer != nil || recOn) {
 		e.p.PlanePopulations(due, &e.pops)
 	}
 	for _, b := range e.order {
@@ -127,8 +127,8 @@ func (e *Estimator) Tick() {
 	} else {
 		e.nextEvent = cycle + e.gap()
 	}
-	if e.opt.OnConcludeScan != nil {
-		e.opt.OnConcludeScan(cycle)
+	if e.opt.Observer != nil {
+		e.opt.Observer.Boundary(cycle)
 	}
 }
 
@@ -155,7 +155,7 @@ func (e *Estimator) conclude(b int, cycle int64) {
 	if ln.failed {
 		st.failures++
 	}
-	if e.opt.Sink != nil {
+	if e.opt.Observer != nil {
 		rec := obs.Injection{
 			Structure:     st.s,
 			Entry:         ln.entry,
@@ -179,7 +179,7 @@ func (e *Estimator) conclude(b int, cycle int64) {
 		default:
 			rec.Outcome = obs.OutcomeMasked
 		}
-		e.opt.Sink.RecordInjection(rec)
+		e.opt.Observer.RecordInjection(rec)
 	}
 	ln.live, ln.failed = false, false
 	if st.injections < e.opt.N {
@@ -199,14 +199,9 @@ func (e *Estimator) conclude(b int, cycle int64) {
 	st.injections = 0
 	st.failures = 0
 	st.startCycle = cycle
-	if e.opt.OnInterval != nil && est.Interval >= e.opt.StartInterval {
-		e.opt.OnInterval(est)
-	}
-	if e.opt.OnIntervalSpan != nil {
+	if e.opt.Observer != nil {
 		wallEnd := time.Now()
-		if est.Interval >= e.opt.StartInterval {
-			e.opt.OnIntervalSpan(est, st.wallStart, wallEnd)
-		}
+		e.opt.Observer.Interval(est, st.wallStart, wallEnd)
 		st.wallStart = wallEnd
 	}
 }

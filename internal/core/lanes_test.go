@@ -41,7 +41,7 @@ func TestLaneSinkReconcilesWithEstimates(t *testing.T) {
 	const lanes = 16
 	p := newPipe(t, &loopTrace{})
 	sink := &sinkCollector{}
-	e, err := NewEstimator(p, Options{M: 20, N: 10, Lanes: lanes, Sink: sink})
+	e, err := NewEstimator(p, Options{M: 20, N: 10, Lanes: lanes, Observer: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestLaneFailureAtConclusionCycle(t *testing.T) {
 	e, err := NewEstimator(p, Options{
 		M: 50, N: 1000, Lanes: 2,
 		Structures: []pipeline.Structure{pipeline.StructReg},
-		Sink:       sink,
+		Observer:   sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestLaneRandomScheduleKeepsOccupancyFull(t *testing.T) {
 }
 
 // TestLaneTickAllocatesNothingObsDisabled extends the zero-alloc guard
-// to the per-lane schedule policy: with no Sink, driving pipeline + 64-lane estimator
+// to the per-lane schedule policy: with no Observer, driving pipeline + 64-lane estimator
 // allocates no more than driving the bare pipeline.
 func TestLaneTickAllocatesNothingObsDisabled(t *testing.T) {
 	const cycles = 5000 // N=1000 per pool: no interval boundary in range

@@ -1,21 +1,46 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"avfsim/internal/obs"
 	"avfsim/internal/pipeline"
 )
 
-// sinkCollector retains every lifecycle record the estimator emits.
+// sinkCollector is an Observer that retains every lifecycle record the
+// estimator emits.
 type sinkCollector struct {
+	NopObserver
 	recs []obs.Injection
 }
 
 func (s *sinkCollector) RecordInjection(rec obs.Injection) { s.recs = append(s.recs, rec) }
 
-// TestSinkReconcilesWithEstimates drives a full run with a Sink and
+// funcObserver hands the Boundary and Interval events it has a
+// function for to that function.
+type funcObserver struct {
+	NopObserver
+	boundary func(cycle int64)
+	interval func(est Estimate, wallStart, wallEnd time.Time)
+}
+
+func (o funcObserver) Boundary(cycle int64) {
+	if o.boundary != nil {
+		o.boundary(cycle)
+	}
+}
+
+func (o funcObserver) Interval(est Estimate, wallStart, wallEnd time.Time) {
+	if o.interval != nil {
+		o.interval(est, wallStart, wallEnd)
+	}
+}
+
+// TestSinkReconcilesWithEstimates drives a full run with an observer
+// retaining injection records and
 // checks the lifecycle records are the estimates, disaggregated: for
 // every complete interval of every structure there are exactly N
 // records whose failure count equals the estimate's Failures — the
@@ -23,7 +48,7 @@ func (s *sinkCollector) RecordInjection(rec obs.Injection) { s.recs = append(s.r
 func TestSinkReconcilesWithEstimates(t *testing.T) {
 	p := newPipe(t, &loopTrace{})
 	sink := &sinkCollector{}
-	e, err := NewEstimator(p, Options{M: 20, N: 10, Sink: sink})
+	e, err := NewEstimator(p, Options{M: 20, N: 10, Observer: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +113,7 @@ func TestSinkOutcomeClassification(t *testing.T) {
 	p := newPipe(t, &loopTrace{})
 	sink := &sinkCollector{}
 	e, err := NewEstimator(p, Options{
-		M: 20, N: 100, Sink: sink,
+		M: 20, N: 100, Observer: sink,
 		Structures: []pipeline.Structure{pipeline.StructFXU},
 	})
 	if err != nil {
@@ -116,7 +141,7 @@ func TestSinkOutcomeClassification(t *testing.T) {
 }
 
 // TestTickAllocatesNothingObsDisabled is the regression guard for the
-// estimator hot path: with no Sink and no RecordLatency, driving the
+// estimator hot path: with no Observer and no RecordLatency, driving the
 // pipeline + estimator must allocate no more than driving the bare
 // pipeline — Tick, conclude, inject, and HandleFailureMask stay
 // allocation-free. (The only estimator allocations are the per-interval
@@ -163,5 +188,53 @@ func TestTickAllocatesNothingObsDisabled(t *testing.T) {
 	// (5000 ticks) would blow through immediately.
 	if est > base+64 {
 		t.Fatalf("estimator path allocated %d objects vs %d bare — per-Tick allocation regression", est, base)
+	}
+}
+
+// TestObserverAllocatesNothing is the differential guard for an attached
+// observer: a run with a no-op Observer allocates no more than the same
+// run without one, for the lockstep and the per-lane schedule. N is
+// small, so intervals complete and the Interval path (wall-clock reads
+// included) is exercised, not only RecordInjection and Boundary.
+func TestObserverAllocatesNothing(t *testing.T) {
+	const cycles = 5000 // M*N = 1000: five intervals per structure
+	for _, lanes := range []int{0, 64} {
+		run := func(o Observer) func() {
+			return func() {
+				p := newPipe(t, &loopTrace{})
+				e, err := NewEstimator(p, Options{M: 100, N: 10, Lanes: lanes, Observer: o})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Attach()
+				for i := 0; i < cycles; i++ {
+					p.Step()
+					e.Tick()
+				}
+				if len(e.Estimates(e.Structures()[0])) == 0 {
+					t.Fatal("no interval completed")
+				}
+			}
+		}
+		// The minimum of a few measurements, so an allocation made by
+		// another goroutine cannot fail the comparison.
+		allocs := func(fn func()) uint64 {
+			best := uint64(math.MaxUint64)
+			for i := 0; i < 3; i++ {
+				runtime.GC()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				fn()
+				runtime.ReadMemStats(&after)
+				best = min(best, after.Mallocs-before.Mallocs)
+			}
+			return best
+		}
+		bare, observed := run(nil), run(NopObserver{})
+		bare()
+		observed()
+		if a, b := allocs(observed), allocs(bare); a > b {
+			t.Errorf("lanes=%d: run with an observer allocated %d objects vs %d without", lanes, a, b)
+		}
 	}
 }

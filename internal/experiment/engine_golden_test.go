@@ -44,8 +44,11 @@ var goldenEngineModes = []struct {
 		pipeline.StructFPU, pipeline.StructIQ, pipeline.StructDTLB, pipeline.StructLSU}}},
 }
 
-// injectionLog is an obs.Sink that keeps every lifecycle record.
-type injectionLog struct{ recs []obs.Injection }
+// injectionLog is an observer that keeps every lifecycle record.
+type injectionLog struct {
+	core.NopObserver
+	recs []obs.Injection
+}
 
 func (l *injectionLog) RecordInjection(rec obs.Injection) { l.recs = append(l.recs, rec) }
 
@@ -57,7 +60,7 @@ func engineModeDump(t *testing.T, rc RunConfig) []byte {
 	sink := &injectionLog{}
 	rec := flight.New(flight.DefaultCap) // ~2.5k events a run: nothing drops
 	var buf bytes.Buffer
-	rc.Sink, rc.Recorder = sink, rec
+	rc.Observer, rc.Recorder = sink, rec
 	rc.OnInterval = func(e core.Estimate) { fmt.Fprintf(&buf, "interval %+v\n", e) }
 	res, err := Run(rc)
 	if err != nil {

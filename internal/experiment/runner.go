@@ -13,8 +13,6 @@ import (
 
 	"avfsim/internal/config"
 	"avfsim/internal/core"
-	"avfsim/internal/microtel"
-	"avfsim/internal/obs"
 	"avfsim/internal/pipeline"
 	"avfsim/internal/softarch"
 	"avfsim/internal/trace"
@@ -67,37 +65,19 @@ type RunConfig struct {
 	Lanes int
 	// Config overrides the processor configuration when non-nil.
 	Config *config.Config
+	// Observer, when non-nil, watches the estimator (see
+	// core.Observer): injection records, boundaries and completed
+	// estimates. Observation only; the estimate series is unchanged.
+	Observer core.Observer
 	// OnInterval, when non-nil, receives each online estimate as soon
-	// as the estimator completes it (see core.Options.OnInterval). It
-	// is called from the goroutine driving the run.
+	// as the estimator completes it, after Observer's Interval. It is
+	// called from the goroutine driving the run.
 	OnInterval func(core.Estimate)
-	// OnIntervalSpan, when non-nil, additionally receives the
-	// wall-clock start/end of each completed interval (see
-	// core.Options.OnIntervalSpan) — the per-interval tracing span
-	// hook. Subject to the same StartInterval gating as OnInterval.
-	OnIntervalSpan func(est core.Estimate, wallStart, wallEnd time.Time)
-	// StartInterval suppresses OnInterval below the given interval index
-	// (see core.Options.StartInterval): the checkpoint-resume
-	// fast-forward. The run still simulates from cycle 0 — determinism
-	// makes the replayed prefix exact — and Result carries the full
-	// series either way.
-	StartInterval int
-	// Sink, when non-nil, receives one lifecycle record per concluded
-	// injection (see core.Options.Sink) — the avfd trace endpoint and
-	// the per-structure outcome counters hang off it.
-	Sink obs.Sink
 	// Recorder, when non-nil, attaches a flight recorder to the pipeline
 	// (see pipeline.SetRecorder): every error-bit event of the run is
 	// streamed to it for propagation-trace reconstruction. Recording is
 	// observation only and does not perturb results.
 	Recorder pipeline.ErrRecorder
-	// Microtel, when non-nil, attaches a microarchitectural telemetry
-	// collector: it is bound to the run's pipeline, fanned into the
-	// injection sink stream (coverage maps), hung on the estimator's
-	// conclusion-boundary scan hook (occupancy residency), and fed every
-	// completed estimate (confidence surfaces). Like Recorder, it is
-	// observation only — the estimate series is unchanged.
-	Microtel *microtel.Collector
 }
 
 func (c *RunConfig) defaults() error {
@@ -113,7 +93,7 @@ func (c *RunConfig) defaults() error {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.M < 0 || c.N < 0 || c.Intervals < 0 || c.Scale < 0 || c.Scale > 1 || c.StartInterval < 0 {
+	if c.M < 0 || c.N < 0 || c.Intervals < 0 || c.Scale < 0 || c.Scale > 1 {
 		return errors.New("experiment: negative or out-of-range run parameters")
 	}
 	if len(c.Structures) == 0 {
@@ -295,24 +275,12 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 		p.SetRecorder(rc.Recorder)
 	}
 
-	sink := rc.Sink
-	onInterval := rc.OnInterval
-	var onConcludeScan func(int64)
-	if mt := rc.Microtel; mt != nil {
-		// Telemetry taps: coverage via the sink stream, occupancy via
-		// the conclusion-boundary scans, confidence via the estimate
-		// stream. All passive; defaults resolve first so the collector
-		// binds the same structure set the estimator monitors.
-		mt.Bind(p, rc.Structures, rc.Lanes)
-		sink = microtel.Fanout(mt, sink)
-		onConcludeScan = mt.SampleOccupancy
-		user := onInterval
-		onInterval = func(e core.Estimate) {
-			mt.RecordEstimate(e.Structure, e.Interval, e.Failures, e.Injections)
-			if user != nil {
-				user(e)
-			}
+	observer := rc.Observer
+	if rc.OnInterval != nil {
+		if observer == nil {
+			observer = core.NopObserver{}
 		}
+		observer = intervalTap{observer, rc.OnInterval}
 	}
 	est, err := core.NewEstimator(p, core.Options{
 		M: rc.M, N: rc.N,
@@ -323,11 +291,7 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 		RecordLatency:  rc.RecordLatency,
 		Multiplex:      rc.Multiplex,
 		Lanes:          rc.Lanes,
-		OnInterval:     onInterval,
-		OnIntervalSpan: rc.OnIntervalSpan,
-		StartInterval:  rc.StartInterval,
-		Sink:           sink,
-		OnConcludeScan: onConcludeScan,
+		Observer:       observer,
 	})
 	if err != nil {
 		return nil, err
@@ -455,6 +419,17 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 		res.Series = append(res.Series, ss)
 	}
 	return res, nil
+}
+
+// intervalTap adds RunConfig.OnInterval to the run's observer.
+type intervalTap struct {
+	core.Observer
+	onInterval func(core.Estimate)
+}
+
+func (t intervalTap) Interval(est core.Estimate, wallStart, wallEnd time.Time) {
+	t.Observer.Interval(est, wallStart, wallEnd)
+	t.onInterval(est)
 }
 
 // clampSeries truncates or zero-pads xs to exactly n entries.

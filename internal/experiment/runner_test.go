@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"avfsim/internal/config"
-	"avfsim/internal/core"
 	"avfsim/internal/pipeline"
 	"avfsim/internal/stats"
 	"avfsim/internal/trace"
@@ -289,69 +288,5 @@ func TestConvergencePropertyRandomProfiles(t *testing.T) {
 					trial, ss.Structure, m, params)
 			}
 		}
-	}
-}
-
-// TestStartIntervalResumeDeterminism is the checkpoint-resume gate at
-// the runner level: a run with StartInterval = k emits, through
-// OnInterval, exactly the k..N suffix of the uninterrupted run's
-// estimate stream — identical values, identical order — and its final
-// Result series still carries the full, identical series. This is the
-// determinism argument avfd's WAL recovery rests on.
-func TestStartIntervalResumeDeterminism(t *testing.T) {
-	base := RunConfig{Benchmark: "bzip2", Scale: 0.02, Seed: 3, M: 400, N: 50, Intervals: 4}
-
-	collect := func(rc RunConfig) ([]core.Estimate, *Result) {
-		var ests []core.Estimate
-		rc.OnInterval = func(e core.Estimate) { ests = append(ests, e) }
-		res, err := Run(rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ests, res
-	}
-
-	fullEsts, fullRes := collect(base)
-	if len(fullEsts) != 4*len(pipeline.PaperStructures) {
-		t.Fatalf("uninterrupted run emitted %d estimates, want %d", len(fullEsts), 4*len(pipeline.PaperStructures))
-	}
-
-	resumed := base
-	resumed.StartInterval = 2
-	resEsts, resRes := collect(resumed)
-
-	var wantSuffix []core.Estimate
-	for _, e := range fullEsts {
-		if e.Interval >= 2 {
-			wantSuffix = append(wantSuffix, e)
-		}
-	}
-	if len(resEsts) != len(wantSuffix) {
-		t.Fatalf("resumed run emitted %d estimates, want %d", len(resEsts), len(wantSuffix))
-	}
-	for i := range wantSuffix {
-		if resEsts[i] != wantSuffix[i] {
-			t.Fatalf("resumed estimate %d = %+v, want %+v", i, resEsts[i], wantSuffix[i])
-		}
-	}
-
-	// The final series is recomputed in full by the resumed run and must
-	// be byte-identical to the uninterrupted one.
-	for i, ss := range fullRes.Series {
-		rs := resRes.Series[i]
-		if ss.Structure != rs.Structure {
-			t.Fatalf("series %d structure %v != %v", i, ss.Structure, rs.Structure)
-		}
-		for k := range ss.Online {
-			if ss.Online[k] != rs.Online[k] || ss.Reference[k] != rs.Reference[k] {
-				t.Fatalf("%v interval %d: resumed (%v,%v) != full (%v,%v)",
-					ss.Structure, k, rs.Online[k], rs.Reference[k], ss.Online[k], ss.Reference[k])
-			}
-		}
-	}
-
-	// Negative StartInterval is a config error.
-	if _, err := Run(RunConfig{Benchmark: "mesa", StartInterval: -1}); err == nil {
-		t.Error("negative StartInterval accepted")
 	}
 }

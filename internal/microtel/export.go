@@ -333,22 +333,3 @@ func MergeSnapshots(snaps []*Snapshot) *Snapshot {
 	out.Concluded = out.Totals.Total()
 	return out
 }
-
-// Fanout tees the estimator's sink stream to the collector and another
-// sink (e.g. the per-job tracer) without either knowing about the other.
-func Fanout(c *Collector, next obs.Sink) obs.Sink {
-	if next == nil {
-		return c
-	}
-	return &fanoutSink{c: c, next: next}
-}
-
-type fanoutSink struct {
-	c    *Collector
-	next obs.Sink
-}
-
-func (f *fanoutSink) RecordInjection(rec obs.Injection) {
-	f.c.RecordInjection(rec)
-	f.next.RecordInjection(rec)
-}

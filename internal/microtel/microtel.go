@@ -4,26 +4,29 @@
 // surfaces, with the same contract as the flight recorder and spans —
 // zero cost when off, bounded and gated when on.
 //
-// Three surfaces, one collector:
+// Three surfaces, one collector, which is a core.Observer: attach it as
+// core.Options.Observer (or experiment.RunConfig.Observer) and the
+// estimator binds it and feeds all three.
 //
-//   - Occupancy residency: at every injection boundary (where the
-//     estimator already runs its fused ClearPlanes/PlanePopulations
+//   - Occupancy residency: at every injection boundary (Boundary, where
+//     the estimator already runs its fused ClearPlanes/PlanePopulations
 //     scans) the collector samples pipeline.Occupancies — an O(1) read
 //     of incrementally-maintained counters — into an exact per-structure
 //     histogram of entry occupancy. The per-cycle hot path gains no new
-//     work; a disabled collector costs one nil check per boundary.
+//     work; an unattached collector costs nothing.
 //
-//   - Injection coverage: the collector implements obs.Sink, so every
-//     concluded injection lands in a (structure × entry) outcome table,
-//     a (structure × cycle-bucket) outcome table, and per-lane
-//     utilization counters. Cycle buckets are bounded: when a run
-//     outgrows the fixed bucket budget the bucket width doubles and
-//     counts fold in place, so memory is O(structures × entries +
-//     structures × maxCycleBuckets) regardless of run length.
+//   - Injection coverage: every concluded injection (RecordInjection)
+//     lands in a (structure × entry) outcome table, a (structure ×
+//     cycle-bucket) outcome table, and per-lane utilization counters.
+//     Cycle buckets are bounded: when a run outgrows the fixed bucket
+//     budget the bucket width doubles and counts fold in place, so
+//     memory is O(structures × entries + structures × maxCycleBuckets)
+//     regardless of run length.
 //
-//   - Confidence: every AVF estimate is annotated with its standard
-//     error and a Wilson score interval, streamed alongside the point
-//     estimate and retained per structure for the aggregate surfaces.
+//   - Confidence: every AVF estimate (Interval) is annotated with its
+//     standard error and a Wilson score interval, streamed alongside the
+//     point estimate and retained per structure for the aggregate
+//     surfaces.
 //
 // All storage is preallocated at Bind time; the record/sample paths
 // perform no allocations (see TestCollectorTickZeroAllocs).
@@ -31,7 +34,9 @@ package microtel
 
 import (
 	"sync"
+	"time"
 
+	"avfsim/internal/core"
 	"avfsim/internal/obs"
 	"avfsim/internal/pipeline"
 )
@@ -57,11 +62,9 @@ type Config struct {
 	Metrics *obs.MicrotelMetrics
 }
 
-// Collector accumulates microarchitectural telemetry for one run. It is
-// an obs.Sink (coverage), the estimator's OnConcludeScan hook target
-// (occupancy), and a consumer of the estimate stream (confidence).
-// All methods are safe for concurrent use: the simulation goroutine
-// records while HTTP handlers snapshot.
+// Collector accumulates microarchitectural telemetry for one run; it is
+// a core.Observer. All methods are safe for concurrent use: the
+// simulation goroutine records while HTTP handlers snapshot.
 type Collector struct {
 	cfg Config
 
@@ -114,7 +117,8 @@ func New(cfg Config) *Collector {
 // Bind attaches the collector to a pipeline and the monitored structure
 // set, preallocating every table so the record/sample paths never
 // allocate. lanes is the lane-engine width (0 or 1 for the classic
-// engine). Bind must be called exactly once, before the run starts.
+// engine). Bind must be called exactly once, before the run starts;
+// core.NewEstimator does so for an attached collector.
 func (c *Collector) Bind(p *pipeline.Pipeline, structs []pipeline.Structure, lanes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -144,10 +148,10 @@ func (c *Collector) Enabled() bool {
 	return c.p != nil
 }
 
-// SampleOccupancy is the estimator's OnConcludeScan hook: one fused
-// occupancy read per injection boundary, accumulated into the exact
-// per-structure residency histograms.
-func (c *Collector) SampleOccupancy(cycle int64) {
+// Boundary samples occupancy: one fused occupancy read per injection
+// boundary, accumulated into the exact per-structure residency
+// histograms.
+func (c *Collector) Boundary(cycle int64) {
 	c.mu.Lock()
 	if c.p == nil {
 		c.mu.Unlock()
@@ -176,8 +180,8 @@ func (c *Collector) SampleOccupancy(cycle int64) {
 	c.mu.Unlock()
 }
 
-// RecordInjection implements obs.Sink: one concluded injection lands in
-// the entry, cycle-bucket, and lane tables.
+// RecordInjection lands one concluded injection in the entry,
+// cycle-bucket, and lane tables.
 func (c *Collector) RecordInjection(rec obs.Injection) {
 	c.mu.Lock()
 	s := rec.Structure
@@ -241,6 +245,11 @@ func (c *Collector) rebin() {
 	}
 	c.bucketCycles *= 2
 	c.maxBucket /= 2
+}
+
+// Interval feeds one completed estimate to RecordEstimate.
+func (c *Collector) Interval(est core.Estimate, _, _ time.Time) {
+	c.RecordEstimate(est.Structure, est.Interval, est.Failures, est.Injections)
 }
 
 // RecordEstimate folds one completed AVF estimate into the confidence

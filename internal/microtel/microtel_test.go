@@ -55,24 +55,45 @@ func (ts *tallySink) RecordInjection(rec obs.Injection) {
 	ts.total++
 }
 
-// instrument builds a pipeline + estimator with a bound collector
-// attached as sink (fanned out to an independent tally) and as the
-// conclusion-scan hook.
+// tallied is the collector as the estimator's observer, with every
+// injection record also handed to an independent tally.
+type tallied struct {
+	*Collector
+	tally *tallySink
+}
+
+func (o tallied) RecordInjection(rec obs.Injection) {
+	o.Collector.RecordInjection(rec)
+	o.tally.RecordInjection(rec)
+}
+
+// instrument builds a pipeline + estimator with a collector attached as
+// its observer (bound by NewEstimator), its injection records also
+// tallied independently.
 func instrument(t *testing.T, opt core.Options, cfg Config) (*pipeline.Pipeline, *core.Estimator, *Collector, *tallySink) {
 	t.Helper()
 	p := newPipe(t)
 	c := New(cfg)
 	tally := &tallySink{}
-	opt.Sink = Fanout(c, tally)
-	opt.OnConcludeScan = c.SampleOccupancy
+	opt.Observer = tallied{c, tally}
 	e, err := core.NewEstimator(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Bind(p, e.Structures(), opt.Lanes)
+	if !c.Enabled() {
+		t.Fatal("NewEstimator did not bind the collector")
+	}
 	e.Attach()
 	return p, e, c, tally
 }
+
+// boundaryObserver hands each injection boundary to fn.
+type boundaryObserver struct {
+	core.NopObserver
+	fn func(cycle int64)
+}
+
+func (o boundaryObserver) Boundary(cycle int64) { o.fn(cycle) }
 
 func drive(p *pipeline.Pipeline, e *core.Estimator, cycles int) {
 	for i := 0; i < cycles; i++ {
@@ -303,20 +324,29 @@ func TestTelemetryIsPassive(t *testing.T) {
 	const cycles = 50 * 20 * 4
 	opt := core.Options{M: 50, N: 20, Seed: 7}
 
-	// Golden twin: no telemetry, but accumulate occupancy sums by hand
-	// at the same boundaries via the same hook.
+	// Golden twin: no observer at all.
+	pb := newPipe(t)
+	eb, err := core.NewEstimator(pb, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb.Attach()
+	drive(pb, eb, cycles)
+
+	// Occupancy twin: no telemetry, but accumulate occupancy sums by
+	// hand at the same boundaries.
 	var goldenSum [pipeline.NumStructures]int64
 	var goldenSamples int64
 	pg := newPipe(t)
 	var counts [pipeline.NumStructures]int
 	optG := opt
-	optG.OnConcludeScan = func(cycle int64) {
+	optG.Observer = boundaryObserver{fn: func(cycle int64) {
 		pg.Occupancies(&counts)
 		goldenSamples++
 		for s := 0; s < pipeline.NumStructures; s++ {
 			goldenSum[s] += int64(counts[s])
 		}
-	}
+	}}
 	eg, err := core.NewEstimator(pg, optG)
 	if err != nil {
 		t.Fatal(err)
@@ -328,14 +358,16 @@ func TestTelemetryIsPassive(t *testing.T) {
 	p, e, c, _ := instrument(t, opt, Config{})
 	drive(p, e, cycles)
 
-	for _, s := range e.Structures() {
-		a, b := e.Estimates(s), eg.Estimates(s)
-		if len(a) != len(b) {
-			t.Fatalf("%v: %d estimates instrumented vs %d golden", s, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%v interval %d: instrumented %+v != golden %+v", s, i, a[i], b[i])
+	for _, twin := range []*core.Estimator{eb, eg} {
+		for _, s := range e.Structures() {
+			a, b := e.Estimates(s), twin.Estimates(s)
+			if len(a) != len(b) {
+				t.Fatalf("%v: %d estimates instrumented vs %d golden", s, len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("%v interval %d: instrumented %+v != golden %+v", s, i, a[i], b[i])
+				}
 			}
 		}
 	}
@@ -370,20 +402,12 @@ func TestRebinKeepsTotalsBounded(t *testing.T) {
 	ndjsonTotals(t, c)
 }
 
-// TestEstimateConfidenceSurface: RecordEstimate retains the latest
-// interval's Wilson bounds per structure and they bracket the AVF.
+// TestEstimateConfidenceSurface: the estimates the estimator hands the
+// collector (Interval) leave the latest interval's Wilson bounds per
+// structure, and they bracket the AVF.
 func TestEstimateConfidenceSurface(t *testing.T) {
-	p, e, c, _ := instrument(t, core.Options{M: 20, N: 25,
-		OnInterval: func(est core.Estimate) {
-			// experiment-layer wiring under test: estimates feed the surface
-		}}, Config{})
-	_ = p
+	p, e, c, _ := instrument(t, core.Options{M: 20, N: 25}, Config{})
 	drive(p, e, 20*25*3)
-	for _, s := range e.Structures() {
-		for _, est := range e.Estimates(s) {
-			c.RecordEstimate(s, est.Interval, est.Failures, est.Injections)
-		}
-	}
 	snap := c.Snapshot()
 	sawConf := false
 	for _, ss := range snap.Structures {
@@ -391,6 +415,13 @@ func TestEstimateConfidenceSurface(t *testing.T) {
 			continue
 		}
 		sawConf = true
+		s, _ := pipeline.ParseStructure(ss.Structure)
+		ests := e.Estimates(s)
+		last := ests[len(ests)-1]
+		if ss.Interval != last.Interval || *ss.Confidence != Interval(last.Failures, last.Injections, 0) {
+			t.Fatalf("%s: surface holds interval %d %+v, latest estimate is %+v",
+				ss.Structure, ss.Interval, *ss.Confidence, last)
+		}
 		if ss.Confidence.Lo > ss.AVF || ss.Confidence.Hi < ss.AVF {
 			t.Fatalf("%s: interval [%v,%v] excludes AVF %v",
 				ss.Structure, ss.Confidence.Lo, ss.Confidence.Hi, ss.AVF)
@@ -459,15 +490,11 @@ func TestCollectorTickZeroAllocs(t *testing.T) {
 			var c *Collector
 			if withCollector {
 				c = New(Config{})
-				opt.Sink = c
-				opt.OnConcludeScan = c.SampleOccupancy
+				opt.Observer = c
 			}
 			e, err := core.NewEstimator(p, opt)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if withCollector {
-				c.Bind(p, e.Structures(), 64)
 			}
 			e.Attach()
 			for i := 0; i < cycles; i++ {

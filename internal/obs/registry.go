@@ -8,8 +8,9 @@
 // produced while the workload runs — so the service instrumenting it
 // must itself be observable at near-zero cost: every metric cell is a
 // single atomic, registration is separated from the hot path (callers
-// hold *Counter/*Gauge/*Histogram handles), and the estimator-facing
-// Sink is nil-checkable so a disabled estimator pays one branch.
+// hold *Counter/*Gauge/*Histogram handles), and the injection tracer
+// is reached through the estimator's nil-checkable observer, so a
+// disabled estimator pays one branch.
 package obs
 
 import (

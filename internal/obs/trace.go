@@ -42,8 +42,8 @@ func (o Outcome) String() string {
 
 // Injection is the lifecycle record of one concluded injection:
 // inject → propagate for M cycles → retire as failure, or expire
-// masked/pending. The estimator emits one per injection through its
-// Sink.
+// masked/pending. The estimator hands one per injection to its
+// observer (core.Observer.RecordInjection).
 type Injection struct {
 	// Structure is the injected structure; Entry the entry/unit index.
 	Structure pipeline.Structure
@@ -67,15 +67,6 @@ type Injection struct {
 	// Lane is the error-bit lane the injection rode, or -1 under the
 	// classic one-plane-per-structure estimator.
 	Lane int
-}
-
-// Sink receives estimator lifecycle events. Implementations must be
-// cheap and non-blocking: RecordInjection is called synchronously from
-// the simulation loop, once per concluded injection (every M cycles per
-// structure). A nil Sink in core.Options disables all recording; the
-// hot path then pays a single pointer check.
-type Sink interface {
-	RecordInjection(rec Injection)
 }
 
 // InjectionCounters aggregates injection outcomes into a Registry:
@@ -136,7 +127,7 @@ func (ic *InjectionCounters) Outcomes(s pipeline.Structure, o Outcome) int64 {
 // without bound.
 const DefaultTraceCap = 1 << 17
 
-// JobTracer is a Sink that retains per-injection records for one job
+// JobTracer retains per-injection records for one job
 // (served as NDJSON by GET /v1/jobs/{id}/trace) and forwards each
 // record to optional shared InjectionCounters.
 type JobTracer struct {
@@ -157,7 +148,7 @@ func NewJobTracer(counters *InjectionCounters, limit int) *JobTracer {
 	return &JobTracer{counters: counters, limit: limit}
 }
 
-// RecordInjection implements Sink.
+// RecordInjection retains one record, or counts it dropped at the cap.
 func (t *JobTracer) RecordInjection(rec Injection) {
 	if t.counters != nil {
 		t.counters.RecordInjection(rec)

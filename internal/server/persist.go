@@ -2,8 +2,9 @@ package server
 
 // Recovery and retention: rebuilding the job table from the WAL after a
 // restart (terminal jobs restored read-only, interrupted jobs resumed
-// via the deterministic StartInterval fast-forward) and bounding the
-// job history (TTL + max-completed cap).
+// by deterministic re-execution, their already-delivered output dropped
+// by the job's observer) and bounding the job history (TTL +
+// max-completed cap).
 
 import (
 	"encoding/json"
@@ -128,12 +129,9 @@ func (s *Server) Recover() (resumed int, err error) {
 			}
 			continue
 		}
+		// The job's observer drops the intervals persisted before the
+		// crash (see jobObserver).
 		j.skipTo = skipTo
-		// The estimator fast-forwards whole interval groups below the
-		// minimum persisted count; the ragged remainder (structures whose
-		// interval k landed before the crash) is deduplicated per
-		// structure by the skipTo filter in the OnInterval callback.
-		rc.StartInterval = startInterval(skipTo, rc.Structures)
 		if e := s.launch(j, rc); e != nil {
 			if j.cacheLead {
 				s.cache.Abort(j.cacheKey, e)
@@ -146,7 +144,7 @@ func (s *Server) Recover() (resumed int, err error) {
 			s.recoveredJobs.Inc()
 		}
 		s.log.Info("job recovered", "job", j.id, "benchmark", spec.Benchmark,
-			"persisted_intervals", len(j.points), "start_interval", rc.StartInterval)
+			"persisted_intervals", len(j.points), "start_interval", startInterval(skipTo, rc.Structures))
 	}
 	s.sweepRetention(time.Now())
 	return resumed, nil
@@ -186,9 +184,10 @@ func (s *Server) bumpSeq(id string) {
 
 // startInterval is the resume fast-forward point: the minimum persisted
 // interval count across the monitored structures. Every structure has
-// all intervals below it durable, so the estimator can suppress those
-// interval groups wholesale; anything beyond (a structure that got its
-// interval k out just before the crash) is filtered per structure.
+// all intervals below it durable, so a resumed job records interval
+// spans and telemetry estimates only from it on; points beyond it (a
+// structure that got its interval k out just before the crash) are
+// filtered per structure.
 func startInterval(skipTo map[string]int, structs []pipeline.Structure) int {
 	if len(structs) == 0 {
 		structs = pipeline.PaperStructures

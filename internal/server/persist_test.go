@@ -9,11 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"avfsim/internal/sched"
+	"avfsim/internal/span"
 	"avfsim/internal/store"
 )
 
@@ -120,6 +122,122 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Result, ref.Result) {
 		t.Fatal("resumed final series differs from uninterrupted run")
+	}
+}
+
+// TestResumeGateIntervalSpans: a job recovered after a crash re-runs
+// from cycle 0, and its observer drops what the earlier boot already
+// delivered. The recovered run records "interval" spans only from the
+// resume point on (startInterval of the persisted checkpoint), exactly
+// one per structure and interval; it appends to the WAL only the points
+// the checkpoint lacks; and a stream opened on it delivers each point
+// exactly once, in the uninterrupted run's order.
+func TestResumeGateIntervalSpans(t *testing.T) {
+	dir := t.TempDir()
+	const (
+		spec      = `{"benchmark":"bzip2","scale":0.02,"seed":7,"m":2000,"n":50,"intervals":40}`
+		intervals = 40
+	)
+	ts, _, st, _ := newStoreServer(t, dir, WithSpans(span.NewRecorder(4096)))
+	id, code := postJob(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code=%d", code)
+	}
+	waitPoints(t, ts, id, 8, 20*time.Second)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ref := waitTerminal(t, ts, id, 60*time.Second)
+	if ref.State != "done" {
+		t.Fatalf("reference run state = %q (%s)", ref.State, ref.Error)
+	}
+	ts.Close()
+
+	ts2, srv2, st2, _ := newStoreServer(t, dir, WithSpans(span.NewRecorder(4096)))
+	jr := st2.Jobs()
+	if len(jr) != 1 {
+		t.Fatalf("WAL holds %d jobs, want 1", len(jr))
+	}
+	skipTo := map[string]int{}
+	for _, raw := range jr[0].Intervals {
+		var pt IntervalPoint
+		if err := json.Unmarshal(raw, &pt); err != nil {
+			t.Fatal(err)
+		}
+		skipTo[pt.Structure] = max(skipTo[pt.Structure], pt.Interval+1)
+	}
+	persisted := len(jr[0].Intervals)
+	start := startInterval(skipTo, nil)
+	if start == 0 || persisted >= len(ref.Intervals) {
+		t.Fatalf("checkpoint of %d points resumes at interval %d; want a strict prefix past interval 0", persisted, start)
+	}
+	if resumed, err := srv2.Recover(); err != nil || resumed != 1 {
+		t.Fatalf("Recover = %d, %v; want 1 resumed job", resumed, err)
+	}
+
+	resp, err := http.Get(ts2.URL + "/v1/jobs/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var streamed []IntervalPoint
+	var end *StreamEvent
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var ev StreamEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+		}
+		if ev.Type == "end" {
+			end = &ev
+			continue
+		}
+		streamed = append(streamed, *ev.Interval)
+	}
+	if end == nil || end.State != "done" {
+		t.Fatalf("stream end event = %+v, want done", end)
+	}
+	seen := map[string]bool{}
+	for _, pt := range streamed {
+		key := pt.Structure + "/" + strconv.Itoa(pt.Interval)
+		if seen[key] {
+			t.Fatalf("stream delivered %s twice", key)
+		}
+		seen[key] = true
+	}
+	if !reflect.DeepEqual(streamed, ref.Intervals) {
+		t.Fatalf("recovered stream of %d points differs from the uninterrupted run's %d", len(streamed), len(ref.Intervals))
+	}
+
+	perStruct := map[string][]int{}
+	wal := 0
+	for _, sp := range fetchSpans(t, ts2, id) {
+		switch sp.Name {
+		case "interval":
+			k, err := strconv.Atoi(sp.Attrs["interval"])
+			if err != nil {
+				t.Fatalf("interval span without an interval attribute: %+v", sp)
+			}
+			perStruct[sp.Attrs["structure"]] = append(perStruct[sp.Attrs["structure"]], k)
+		case "wal":
+			wal++
+		}
+	}
+	if len(perStruct) != len(skipTo) {
+		t.Fatalf("interval spans for %d structures, want %d", len(perStruct), len(skipTo))
+	}
+	for name, ks := range perStruct {
+		if len(ks) != intervals-start {
+			t.Fatalf("%s: %d interval spans, want %d (intervals %d..%d)", name, len(ks), intervals-start, start, intervals-1)
+		}
+		for i, k := range ks {
+			if k != start+i {
+				t.Fatalf("%s: interval span %d is for interval %d, want %d", name, i, k, start+i)
+			}
+		}
+	}
+	if want := len(ref.Intervals) - persisted; wal != want {
+		t.Fatalf("recovered run wrote %d WAL frames, want the %d the checkpoint lacked", wal, want)
 	}
 }
 

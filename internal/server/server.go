@@ -232,7 +232,7 @@ type job struct {
 	// skipTo, set when the job was recovered from the WAL, maps structure
 	// name → count of intervals already persisted (and preloaded into
 	// points): the resumed run re-emits them deterministically and the
-	// OnInterval callback drops them so clients see each interval once.
+	// job's observer drops them so clients see each interval once.
 	skipTo map[string]int
 
 	// Result-cache participation (see cache.go), all set before the job
@@ -966,71 +966,19 @@ func (s *Server) launch(j *job, rc experiment.RunConfig) error {
 	}
 
 	spec := j.spec
-	rc.OnInterval = func(est core.Estimate) {
-		pt := IntervalPoint{
-			Structure:  est.Structure.String(),
-			Interval:   est.Interval,
-			StartCycle: est.StartCycle,
-			EndCycle:   est.EndCycle,
-			AVF:        est.AVF,
-			Failures:   est.Failures,
-			Injections: est.Injections,
-		}
-		if j.microtel != nil {
-			cf := microtel.Interval(est.Failures, est.Injections, 0)
-			pt.Confidence = &cf
-		}
-		// Resumed jobs replay deterministically through intervals the WAL
-		// already holds; StartInterval suppresses whole interval groups
-		// below the checkpoint and this filter drops the ragged remainder
-		// (structures whose interval k landed before the crash).
-		if pt.Interval < j.skipTo[pt.Structure] {
-			return
-		}
-		// WAL first, then fan-out: an estimate a client saw is always
-		// durable, so a crash can never un-deliver data.
-		if s.st != nil {
-			wal := s.spans.Start(j.trace, j.root.ID(), "wal")
-			if err := s.st.AppendInterval(j.id, &pt); err != nil && !errors.Is(err, store.ErrClosed) {
-				s.log.Error("persist interval", "job", j.id, "error", err)
-				wal.End("error")
-			} else if wal != nil {
-				wal.SetJob(j.id, class.String())
-				wal.End("ok")
-			}
-		}
-		j.publish(pt)
-		// Each estimate also feeds the drift monitor (noise-floored by
-		// its binomial stderr) and the live dashboard.
-		s.observeDrift(avfStream(spec.Benchmark, pt.Structure), est.AVF, est.StdErr())
-		s.hub.broadcast("estimate", estimateEvent{Job: j.id, Benchmark: spec.Benchmark, IntervalPoint: pt})
-	}
-	if s.spans != nil {
-		// One span per completed estimation interval, stamped with the
-		// simulator's wall window (explicit instants: the estimator owns
-		// the clock reads, and only when the hook is installed).
-		rc.OnIntervalSpan = func(est core.Estimate, wallStart, wallEnd time.Time) {
-			a := s.spans.StartAt(j.trace, j.root.ID(), "interval", wallStart)
-			a.SetJob(j.id, class.String())
-			a.SetAttr("structure", est.Structure.String())
-			a.SetAttr("interval", strconv.Itoa(est.Interval))
-			a.SetAttr("avf", strconv.FormatFloat(est.AVF, 'g', 6, 64))
-			a.EndAt("ok", wallEnd)
-		}
-	}
 	if s.injc != nil {
 		j.tracer = obs.NewJobTracer(s.injc, 0)
-		rc.Sink = j.tracer
-	}
-	if spec.Flight {
-		j.flight = flight.New(spec.FlightCap)
-		rc.Recorder = j.flight
 	}
 	if spec.Microtel {
 		// Created inside launch (not submit) so a WAL-recovered job gets a
 		// fresh collector: Bind is once-per-run and the resumed run rebinds.
 		j.microtel = microtel.New(microtel.Config{Metrics: s.microtelMetrics})
-		rc.Microtel = j.microtel
+	}
+	rc.Observer = &jobObserver{s: s, j: j, class: class.String(),
+		start: startInterval(j.skipTo, rc.Structures)}
+	if spec.Flight {
+		j.flight = flight.New(spec.FlightCap)
+		rc.Recorder = j.flight
 	}
 	deadline := s.effectiveDeadline(&spec)
 	// The queue span opens before Submit (its start is the enqueue
@@ -1104,6 +1052,93 @@ func (s *Server) launch(j *job, rc experiment.RunConfig) error {
 	s.watchers.Add(1)
 	go s.watch(j)
 	return nil
+}
+
+// jobObserver is a job's watcher on its run. It hands each injection
+// record to the job's tracer and telemetry collector, and turns each
+// completed estimate into a WAL frame, a stream point, a drift sample,
+// a dashboard event and an interval span.
+//
+// A job recovered from the WAL re-runs from cycle 0 — the simulation is
+// a pure function of (spec, seed), so the replayed prefix is exact —
+// and the observer drops what an earlier boot already delivered: points
+// below skipTo, per structure, and interval spans and telemetry
+// estimates below start, the minimum of skipTo across structures.
+type jobObserver struct {
+	s     *Server
+	j     *job
+	class string
+	start int
+}
+
+func (o *jobObserver) Bind(p *pipeline.Pipeline, structures []pipeline.Structure, lanes int) {
+	if mt := o.j.microtel; mt != nil {
+		mt.Bind(p, structures, lanes)
+	}
+}
+
+func (o *jobObserver) RecordInjection(rec obs.Injection) {
+	if mt := o.j.microtel; mt != nil {
+		mt.RecordInjection(rec)
+	}
+	if tr := o.j.tracer; tr != nil {
+		tr.RecordInjection(rec)
+	}
+}
+
+func (o *jobObserver) Boundary(cycle int64) {
+	if mt := o.j.microtel; mt != nil {
+		mt.Boundary(cycle)
+	}
+}
+
+func (o *jobObserver) Interval(est core.Estimate, wallStart, wallEnd time.Time) {
+	s, j := o.s, o.j
+	pt := IntervalPoint{
+		Structure:  est.Structure.String(),
+		Interval:   est.Interval,
+		StartCycle: est.StartCycle,
+		EndCycle:   est.EndCycle,
+		AVF:        est.AVF,
+		Failures:   est.Failures,
+		Injections: est.Injections,
+	}
+	if j.microtel != nil {
+		if est.Interval >= o.start {
+			j.microtel.Interval(est, wallStart, wallEnd)
+		}
+		cf := microtel.Interval(est.Failures, est.Injections, 0)
+		pt.Confidence = &cf
+	}
+	if pt.Interval >= j.skipTo[pt.Structure] {
+		// WAL first, then fan-out: an estimate a client saw is always
+		// durable, so a crash can never un-deliver data.
+		if s.st != nil {
+			wal := s.spans.Start(j.trace, j.root.ID(), "wal")
+			if err := s.st.AppendInterval(j.id, &pt); err != nil && !errors.Is(err, store.ErrClosed) {
+				s.log.Error("persist interval", "job", j.id, "error", err)
+				wal.End("error")
+			} else if wal != nil {
+				wal.SetJob(j.id, o.class)
+				wal.End("ok")
+			}
+		}
+		j.publish(pt)
+		// Each estimate also feeds the drift monitor (noise-floored by
+		// its binomial stderr) and the live dashboard.
+		s.observeDrift(avfStream(j.spec.Benchmark, pt.Structure), est.AVF, est.StdErr())
+		s.hub.broadcast("estimate", estimateEvent{Job: j.id, Benchmark: j.spec.Benchmark, IntervalPoint: pt})
+	}
+	if s.spans != nil && est.Interval >= o.start {
+		// One span per completed estimation interval, stamped with the
+		// simulator's wall window.
+		a := s.spans.StartAt(j.trace, j.root.ID(), "interval", wallStart)
+		a.SetJob(j.id, o.class)
+		a.SetAttr("structure", pt.Structure)
+		a.SetAttr("interval", strconv.Itoa(est.Interval))
+		a.SetAttr("avf", strconv.FormatFloat(est.AVF, 'g', 6, 64))
+		a.EndAt("ok", wallEnd)
+	}
 }
 
 // watch releases subscribers and persists the terminal transition once
